@@ -81,7 +81,6 @@ pub struct SocBatch {
     platform: Platform,
     width: usize,
     refresh_hz: f64,
-    util_selection: bool,
     /// DVFS controller per lane: the governor actuation surface, exactly
     /// the object a [`crate::Soc`] exposes (policy caps and current
     /// levels are per-device state).
@@ -248,9 +247,6 @@ impl SocBatch {
             if cfg.refresh_hz != first.refresh_hz {
                 return mismatch("refresh rate");
             }
-            if cfg.util_selection != first.util_selection {
-                return mismatch("util selection");
-            }
             if cfg.throttle != first.throttle {
                 return mismatch("throttle configuration");
             }
@@ -313,7 +309,6 @@ impl SocBatch {
         let mut batch = SocBatch {
             width,
             refresh_hz: first.refresh_hz,
-            util_selection: first.util_selection,
             dvfs,
             vsync: vec![VsyncPipeline::new(first.refresh_hz); width],
             hz_ladder,
@@ -536,20 +531,18 @@ impl SocBatch {
         //    same levels, and therefore the same downstream bits).
         //    Writes land in the mirror only; stale controllers are
         //    caught up on handout (`flush_lane_ctl`).
-        if self.util_selection {
-            for (d, ladder) in self.hz_ladder.iter().enumerate() {
-                let base = d * w;
-                select_domain_lanes(
-                    ladder,
-                    &self.last_utils[base..base + w],
-                    &self.margin_mirror,
-                    &self.boost_mirror,
-                    &mut self.lvl_cur[base..base + w],
-                    &self.lvl_min[base..base + w],
-                    &self.lvl_max[base..base + w],
-                    &mut self.ctl_stale,
-                );
-            }
+        for (d, ladder) in self.hz_ladder.iter().enumerate() {
+            let base = d * w;
+            select_domain_lanes(
+                ladder,
+                &self.last_utils[base..base + w],
+                &self.margin_mirror,
+                &self.boost_mirror,
+                &mut self.lvl_cur[base..base + w],
+                &self.lvl_min[base..base + w],
+                &self.lvl_max[base..base + w],
+                &mut self.ctl_stale,
+            );
         }
 
         // 2. Throttle transitions on the pre-step die temperatures —

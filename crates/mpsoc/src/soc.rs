@@ -33,9 +33,6 @@ pub struct SocConfig {
     pub thermal: ThermalConfig,
     /// Display refresh rate in Hz.
     pub refresh_hz: f64,
-    /// Whether the in-kernel utilisation-tracking frequency selection
-    /// runs every tick (disable to drive levels fully externally).
-    pub util_selection: bool,
     /// Hardware thermal throttling configuration.
     pub throttle: ThrottleConfig,
 }
@@ -43,14 +40,13 @@ pub struct SocConfig {
 impl SocConfig {
     /// The Galaxy Note 9 configuration used throughout the paper:
     /// Exynos 9810 ladders, calibrated power/thermal models, 60 Hz
-    /// display, [`DEFAULT_AMBIENT_C`] ambient, util-tracking enabled.
+    /// display, [`DEFAULT_AMBIENT_C`] ambient.
     #[must_use]
     pub fn exynos9810() -> Self {
         SocConfig {
             platform: Platform::exynos9810(),
             thermal: ThermalConfig::exynos9810(DEFAULT_AMBIENT_C),
             refresh_hz: 60.0,
-            util_selection: true,
             throttle: ThrottleConfig::exynos9810(),
         }
     }
@@ -65,7 +61,6 @@ impl SocConfig {
             platform,
             thermal: ThermalConfig::exynos9820(DEFAULT_AMBIENT_C),
             refresh_hz: 60.0,
-            util_selection: true,
             throttle,
         }
     }
@@ -175,7 +170,6 @@ pub struct Soc {
     power: PowerModel,
     thermal: ThermalNetwork,
     vsync: VsyncPipeline,
-    util_selection: bool,
     throttler: Throttler,
     /// Thermal node of every domain, in platform order (cached).
     die_nodes: PerDomain<NodeId>,
@@ -238,7 +232,6 @@ impl Soc {
             power,
             thermal,
             vsync,
-            util_selection: config.util_selection,
             throttler,
             die_nodes,
             last_utils: PerDomain::new(n),
@@ -286,11 +279,6 @@ impl Soc {
         &self.thermal
     }
 
-    /// Mutable thermal network (e.g. to change ambient temperature).
-    pub fn thermal_mut(&mut self) -> &mut ThermalNetwork {
-        &mut self.thermal
-    }
-
     /// Hardware thermal throttler (read access).
     #[must_use]
     pub fn throttler(&self) -> &Throttler {
@@ -309,11 +297,6 @@ impl Soc {
         self.last_state
     }
 
-    /// Enables or disables the in-kernel util-tracking selection.
-    pub fn set_util_selection(&mut self, enabled: bool) {
-        self.util_selection = enabled;
-    }
-
     /// Die sensor temperatures per domain, in platform order.
     fn die_temps(&self) -> PerDomain<f64> {
         PerDomain::from_fn(self.die_nodes.len(), |i| {
@@ -323,14 +306,12 @@ impl Soc {
 
     /// Advances the platform by `dt_s` seconds of `demand`.
     ///
-    /// Steps, in order: kernel frequency selection (if enabled) based on
+    /// Steps, in order: kernel frequency selection based on
     /// the previous interval's utilisation, frame execution + VSync,
     /// power integration at the resulting utilisation, thermal update.
     pub fn tick(&mut self, dt_s: f64, demand: &FrameDemand) -> TickOutput {
         let n = self.platform.n_domains();
-        if self.util_selection {
-            self.dvfs.select_by_util(&self.last_utils);
-        }
+        self.dvfs.select_by_util(&self.last_utils);
         // Hardware thermal throttling overrides every software policy:
         // clamp the effective level per domain.
         let die_temps = self.die_temps();
@@ -551,16 +532,6 @@ mod tests {
         assert_eq!(soc.time_s(), 0.0);
         assert!((soc.state().temp_hot_c - 21.0).abs() < 1e-9);
         assert_eq!(soc.state().fps, 0.0);
-    }
-
-    #[test]
-    fn disabled_util_selection_keeps_levels() {
-        let mut cfg = SocConfig::exynos9810();
-        cfg.util_selection = false;
-        let mut soc = Soc::new(cfg);
-        let before = soc.dvfs().current_khz(big());
-        run(&mut soc, &heavy_game(), 2.0);
-        assert_eq!(soc.dvfs().current_khz(big()), before);
     }
 
     #[test]

@@ -403,11 +403,6 @@ impl ThermalNetwork {
         self.config.ambient_c
     }
 
-    /// Changes the ambient temperature (the thermostat of §V).
-    pub fn set_ambient_c(&mut self, ambient_c: f64) {
-        self.config.ambient_c = ambient_c;
-    }
-
     /// Number of thermal nodes.
     #[must_use]
     pub fn n_nodes(&self) -> usize {

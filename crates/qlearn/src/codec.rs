@@ -15,7 +15,7 @@
 //! magic      4 bytes  "NXQT"
 //! version    u16      1
 //! kind       u8       1 = full table, 2 = delta
-//! n_actions  u16      > 0
+//! n_actions  u16      1..=64 (the width of the u64 cell mask)
 //! default_q  f64      raw bits; must be finite
 //! row_count  varint
 //! rows, sorted by ascending state key:
@@ -46,6 +46,10 @@
 //! capped at 10 bytes. Decoding validates magic, version, kind, action
 //! count, mask width, key ordering, value finiteness and exact input
 //! length, in the style of `docs/TRACE_FORMAT.md`.
+//!
+//! This module also hosts the shared little-endian wire layer — the
+//! `put_*` writers and the bounds-checked [`Reader`] — that the NXQT,
+//! NXCP checkpoint and NXTR trace codecs all use.
 
 use std::fmt;
 
@@ -59,6 +63,10 @@ pub const VERSION: u16 = 1;
 
 const KIND_FULL: u8 = 1;
 pub(crate) const KIND_DELTA: u8 = 2;
+
+/// Widest action set an NXQT table can carry: the cell mask is a u64
+/// with one bit per action. Shipped platforms use at most 24 actions.
+pub const MAX_ACTIONS: usize = 64;
 
 /// Error returned by the binary codec entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,6 +92,8 @@ pub enum CodecError {
     BadVarint,
     /// The header declares zero actions.
     ZeroActions,
+    /// The header declares more than [`MAX_ACTIONS`] actions.
+    TooManyActions(u16),
     /// The default-q bits decode to NaN or an infinity.
     NonFiniteDefault,
     /// A cell value's bits decode to NaN or an infinity.
@@ -117,6 +127,12 @@ impl fmt::Display for CodecError {
             CodecError::TrailingBytes => write!(f, "trailing bytes after table"),
             CodecError::BadVarint => write!(f, "varint exceeds 10 bytes"),
             CodecError::ZeroActions => write!(f, "action count must be non-zero"),
+            CodecError::TooManyActions(n) => {
+                write!(
+                    f,
+                    "action count {n} exceeds the NXQT limit of {MAX_ACTIONS}"
+                )
+            }
             CodecError::NonFiniteDefault => write!(f, "non-finite default q"),
             CodecError::NonFiniteValue => write!(f, "non-finite q-value"),
             CodecError::NonAscendingState => write!(f, "state keys must strictly ascend"),
@@ -136,15 +152,59 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
+impl From<WireError> for CodecError {
+    fn from(e: WireError) -> Self {
+        match e {
+            // NXQT reads no strings, so `BadUtf8` cannot arise here.
+            WireError::Truncated | WireError::BadUtf8 => CodecError::Truncated,
+            WireError::BadVarint => CodecError::BadVarint,
+            WireError::Trailing(_) => CodecError::TrailingBytes,
+        }
+    }
+}
+
+// --- shared little-endian wire layer ---------------------------------
+//
+// NXQT, the campaign checkpoint (NXCP, `simkit::campaign`) and the tick
+// trace (NXTR, `simkit::trace`) all write through these helpers and
+// read through one [`Reader`]. Every read is bounds-checked with checked
+// arithmetic and fails with a [`WireError`], which each format maps into
+// its own error type.
+
+/// Appends `v` little-endian.
+#[inline]
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+/// Appends `v` little-endian.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` little-endian.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends the raw IEEE-754 bits of `v`, little-endian.
+#[inline]
+pub fn put_f32(out: &mut Vec<u8>, v: f32) {
+    put_u32(out, v.to_bits());
+}
+
+/// Appends the raw IEEE-754 bits of `v`, little-endian.
+#[inline]
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    put_u64(out, v.to_bits());
+}
+
+/// Appends `v` as an unsigned LEB128 varint (7 bits per byte, low group
+/// first; at most 10 bytes).
+#[inline]
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let group = (v & 0x7f) as u8;
         v >>= 7;
@@ -156,64 +216,175 @@ pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-struct Reader<'a> {
+/// Appends `s` behind a `u16` byte-length prefix.
+///
+/// # Panics
+///
+/// Panics when `s` is longer than 65535 bytes.
+pub fn put_str_u16(out: &mut Vec<u8>, s: &str) {
+    // qlint::allow(PN01, reason = "documented panic; the formats carry short platform/governor/persona names")
+    let len = u16::try_from(s.len()).expect("string fits a u16 length");
+    put_u16(out, len);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Appends `s` behind a `u32` byte-length prefix.
+///
+/// # Panics
+///
+/// Panics when `s` is longer than `u32::MAX` bytes.
+pub fn put_str_u32(out: &mut Vec<u8>, s: &str) {
+    // qlint::allow(PN01, reason = "documented panic; the formats carry short platform/app names")
+    let len = u32::try_from(s.len()).expect("string fits a u32 length");
+    put_u32(out, len);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Failure of a [`Reader`] primitive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireError {
+    /// The input ended before the requested bytes.
+    Truncated,
+    /// A varint ran past 10 bytes (cannot fit a u64).
+    BadVarint,
+    /// A length-prefixed string is not valid UTF-8.
+    BadUtf8,
+    /// This many bytes remain after the declared content.
+    Trailing(usize),
+}
+
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WireError::Truncated => write!(f, "truncated input"),
+            WireError::BadVarint => write!(f, "varint exceeds 10 bytes"),
+            WireError::BadUtf8 => write!(f, "string is not valid UTF-8"),
+            WireError::Trailing(n) => write!(f, "{n} trailing byte(s)"),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
+/// Bounds-checked little-endian cursor over an input buffer. No read
+/// can panic or index past the end, whatever the bytes declare: every
+/// read fails with [`WireError::Truncated`] when the input ends first,
+/// [`Reader::varint`] with [`WireError::BadVarint`] past 10 bytes, the
+/// string reads with [`WireError::BadUtf8`] on invalid UTF-8, and
+/// [`Reader::done`] with [`WireError::Trailing`] on unread bytes.
+#[derive(Debug)]
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
+// The error contract of every read is stated once, on `Reader`.
+#[allow(clippy::missing_errors_doc)]
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    /// A reader positioned at the start of `buf`.
+    #[must_use]
+    pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
+    /// The next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
+        let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
         self.pos = end;
-        Ok(slice)
+        Ok(bytes)
     }
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        self.take(N)?.try_into().map_err(|_| WireError::Truncated)
     }
 
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+    /// One byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        let b = self.take(8)?;
-        let mut bits = [0u8; 8];
-        bits.copy_from_slice(b);
-        Ok(f64::from_bits(u64::from_le_bytes(bits)))
+    /// A little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
-    fn varint(&mut self) -> Result<u64, CodecError> {
+    /// A little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, WireError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, WireError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// An `f32` from its raw little-endian bits.
+    #[inline]
+    pub fn f32(&mut self) -> Result<f32, WireError> {
+        Ok(f32::from_bits(self.u32()?))
+    }
+
+    /// An `f64` from its raw little-endian bits.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, WireError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// An unsigned LEB128 varint written by [`put_varint`].
+    pub fn varint(&mut self) -> Result<u64, WireError> {
         let mut value = 0u64;
         for i in 0..10 {
             let byte = self.u8()?;
             let group = u64::from(byte & 0x7f);
             // The 10th byte may only carry the top bit of a u64.
             if i == 9 && group > 1 {
-                return Err(CodecError::BadVarint);
+                return Err(WireError::BadVarint);
             }
             value |= group << (7 * i);
             if byte & 0x80 == 0 {
                 return Ok(value);
             }
         }
-        Err(CodecError::BadVarint)
+        Err(WireError::BadVarint)
     }
 
-    fn done(&self) -> Result<(), CodecError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CodecError::TrailingBytes)
+    /// A string written by [`put_str_u16`].
+    pub fn str_u16(&mut self) -> Result<String, WireError> {
+        let len = usize::from(self.u16()?);
+        self.utf8(len)
+    }
+
+    /// A string written by [`put_str_u32`].
+    pub fn str_u32(&mut self) -> Result<String, WireError> {
+        let len = usize::try_from(self.u32()?).map_err(|_| WireError::Truncated)?;
+        self.utf8(len)
+    }
+
+    fn utf8(&mut self, len: usize) -> Result<String, WireError> {
+        let bytes = self.take(len)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| WireError::BadUtf8)
+    }
+
+    /// Bytes not yet read.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Checks that the whole input was consumed.
+    pub fn done(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(WireError::Trailing(n)),
         }
     }
 }
@@ -225,15 +396,21 @@ struct Row {
     visits: Vec<u64>,
 }
 
+/// Writes the NXQT header.
+///
+/// # Panics
+///
+/// Panics when `n_actions` exceeds [`MAX_ACTIONS`]: the cell mask
+/// cannot address the extra actions, so encoding would lose them.
 pub(crate) fn encode_header(out: &mut Vec<u8>, kind: u8, n_actions: usize, default_q: f64) {
+    assert!(
+        n_actions <= MAX_ACTIONS,
+        "NXQT tables carry at most {MAX_ACTIONS} actions, got {n_actions}"
+    );
     out.extend_from_slice(&MAGIC);
     put_u16(out, VERSION);
     out.push(kind);
-    put_u16(
-        out,
-        // qlint::allow(PN01, reason = "the paper's action set has 9 entries; a u16 overflow is a caller bug the codec must not mask")
-        u16::try_from(n_actions).expect("action counts are small"),
-    );
+    put_u16(out, n_actions as u16);
     put_f64(out, default_q);
 }
 
@@ -256,8 +433,7 @@ pub(crate) fn encode_row(
         }
     }
     put_varint(out, mask);
-    for (a, (&v, &n)) in values.iter().zip(visits.iter()).enumerate() {
-        debug_assert!(a < 64);
+    for (&v, &n) in values.iter().zip(visits.iter()) {
         if n > 0 {
             put_f64(out, v);
             put_varint(out, n);
@@ -267,6 +443,10 @@ pub(crate) fn encode_row(
 
 /// Encodes a full table (kind 1). The row order is the sorted key
 /// order, so the bytes are independent of insertion order and backend.
+///
+/// # Panics
+///
+/// Panics when the table has more than [`MAX_ACTIONS`] actions.
 #[must_use]
 pub fn encode_table<S: QStore>(table: &QTable<S>) -> Vec<u8> {
     let keys = table.state_keys();
@@ -302,16 +482,23 @@ fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), Co
             got: kind,
         });
     }
-    let n_actions = r.u16()? as usize;
+    let declared = r.u16()?;
+    let n_actions = usize::from(declared);
     if n_actions == 0 {
         return Err(CodecError::ZeroActions);
+    }
+    if n_actions > MAX_ACTIONS {
+        return Err(CodecError::TooManyActions(declared));
     }
     let default_q = r.f64()?;
     if !default_q.is_finite() {
         return Err(CodecError::NonFiniteDefault);
     }
     let row_count = r.varint()?;
-    let mut rows = Vec::with_capacity(usize::try_from(row_count).unwrap_or(0).min(1 << 20));
+    // Every row takes at least two bytes (gap and mask varints), so the
+    // input itself bounds the allocation, whatever `row_count` claims.
+    let rows_cap = usize::try_from(row_count).map_or(0, |n| n.min(r.remaining() / 2));
+    let mut rows = Vec::with_capacity(rows_cap);
     let mut prev: Option<StateKey> = None;
     for _ in 0..row_count {
         let gap = r.varint()?;
@@ -325,7 +512,7 @@ fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), Co
             }
         };
         let mask = r.varint()?;
-        if n_actions < 64 && mask >> n_actions != 0 {
+        if n_actions < MAX_ACTIONS && mask >> n_actions != 0 {
             return Err(CodecError::BadMask);
         }
         let mut values = vec![default_q; n_actions];
@@ -397,6 +584,10 @@ pub(crate) fn row_differs(base: Option<(&[f64], &[u64])>, values: &[f64], visits
 /// action count or default value, and [`CodecError::RowRemoved`] when
 /// `base` holds a row `new` lacks (deltas cannot express removal; the
 /// federated warm start never shrinks a table).
+///
+/// # Panics
+///
+/// Panics when the tables have more than [`MAX_ACTIONS`] actions.
 pub fn delta_between<S: QStore>(base: &QTable<S>, new: &QTable<S>) -> Result<Vec<u8>, CodecError> {
     if base.n_actions() != new.n_actions() {
         return Err(CodecError::DeltaMismatch { field: "n_actions" });
@@ -647,6 +838,113 @@ mod tests {
         );
     }
 
+    /// A full table declaring `n_actions` with one empty row (key 0,
+    /// mask 0): 17 header bytes, row count, gap, mask — 20 bytes.
+    fn one_empty_row(n_actions: u16) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        put_u16(&mut bytes, VERSION);
+        bytes.push(KIND_FULL);
+        put_u16(&mut bytes, n_actions);
+        put_f64(&mut bytes, 0.0);
+        bytes.extend_from_slice(&[1, 0, 0]);
+        bytes
+    }
+
+    #[test]
+    fn more_than_64_actions_is_a_typed_error() {
+        let bytes = one_empty_row(65);
+        assert_eq!(bytes.len(), 20);
+        assert_eq!(
+            decode_table::<DenseStore>(&bytes).unwrap_err(),
+            CodecError::TooManyActions(65)
+        );
+        assert_eq!(
+            decode_table::<HashStore>(&one_empty_row(u16::MAX)).unwrap_err(),
+            CodecError::TooManyActions(u16::MAX)
+        );
+        let back: DenseQTable = decode_table(&one_empty_row(64)).expect("64 actions decode");
+        assert_eq!(back.n_actions(), 64);
+        assert!(back.contains(0));
+    }
+
+    #[test]
+    fn a_64_action_table_roundtrips() {
+        let mut t = DenseQTable::dense_with_default_q(64, 1.0);
+        for a in [0usize, 31, 62, 63] {
+            t.set(7, a, a as f64 - 0.5);
+        }
+        t.set(9, 63, -4.0);
+        let bytes = encode_table(&t);
+        let back: DenseQTable = decode_table(&bytes).expect("64 actions decode");
+        assert_eq!(back, t);
+        assert_eq!(encode_table(&back), bytes);
+        let delta =
+            delta_between(&DenseQTable::dense_with_default_q(64, 1.0), &t).expect("delta encodes");
+        assert_eq!(
+            apply_delta(&DenseQTable::dense_with_default_q(64, 1.0), &delta).expect("applies"),
+            t
+        );
+    }
+
+    #[test]
+    fn a_huge_row_count_is_truncated() {
+        // 18 header bytes declaring 2^63 rows: the row buffer is sized
+        // from the bytes actually present, and decoding fails cleanly.
+        let mut bytes = one_empty_row(9);
+        bytes.truncate(17);
+        put_varint(&mut bytes, 1 << 63);
+        assert_eq!(
+            decode_table::<DenseStore>(&bytes).unwrap_err(),
+            CodecError::Truncated
+        );
+    }
+
+    #[test]
+    fn reader_reads_are_bounds_checked() {
+        let mut bytes = Vec::new();
+        put_u16(&mut bytes, 0xBEEF);
+        put_u32(&mut bytes, 7);
+        put_u64(&mut bytes, u64::MAX);
+        put_f32(&mut bytes, -1.5);
+        put_f64(&mut bytes, 2.25);
+        put_varint(&mut bytes, 300);
+        put_str_u16(&mut bytes, "gamer");
+        put_str_u32(&mut bytes, "exynos9810");
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u16(), Ok(0xBEEF));
+        assert_eq!(r.u32(), Ok(7));
+        assert_eq!(r.u64(), Ok(u64::MAX));
+        assert_eq!(r.f32(), Ok(-1.5));
+        assert_eq!(r.f64(), Ok(2.25));
+        assert_eq!(r.varint(), Ok(300));
+        assert_eq!(r.str_u16().as_deref(), Ok("gamer"));
+        assert_eq!(r.str_u32().as_deref(), Ok("exynos9810"));
+        assert_eq!(r.done(), Ok(()));
+        assert_eq!(r.u8(), Err(WireError::Truncated));
+        assert_eq!(r.take(usize::MAX), Err(WireError::Truncated));
+
+        // A length prefix past the end, invalid UTF-8, an 11-byte
+        // varint and unread bytes are typed errors.
+        assert_eq!(
+            Reader::new(&[5, 0, b'a']).str_u16(),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(
+            Reader::new(&[0xff, 0xff, 0xff, 0xff]).str_u32(),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(
+            Reader::new(&[1, 0, 0xff]).str_u16(),
+            Err(WireError::BadUtf8)
+        );
+        assert_eq!(Reader::new(&[0x80; 11]).varint(), Err(WireError::BadVarint));
+        let mut r = Reader::new(&[1, 2, 3]);
+        assert_eq!(r.u8(), Ok(1));
+        assert_eq!(r.remaining(), 2);
+        assert_eq!(r.done(), Err(WireError::Trailing(2)));
+    }
+
     proptest! {
         #[test]
         fn roundtrip_random_tables(
@@ -689,12 +987,21 @@ mod tests {
         fn corrupted_bytes_never_panic(
             flip_at in 0usize..200,
             flip_to in 0u16..256,
+            patch_actions in 0u8..2,
+            actions_lo in 0u16..256,
+            actions_hi in 0u16..256,
         ) {
             let mut bytes = encode_table(&sample_table());
-            if flip_at < bytes.len() {
-                #[allow(clippy::cast_possible_truncation)]
-                {
+            #[allow(clippy::cast_possible_truncation)]
+            {
+                if flip_at < bytes.len() {
                     bytes[flip_at] = flip_to as u8;
+                }
+                // Half the cases also overwrite the two n_actions bytes
+                // (offsets 7 and 8), reaching counts past the mask width.
+                if patch_actions == 1 {
+                    bytes[7] = actions_lo as u8;
+                    bytes[8] = actions_hi as u8;
                 }
             }
             // Must return Ok or a typed error — never panic.

@@ -29,7 +29,8 @@
 //!   device tables ([`MergeAccumulator`]: bounded memory, dense arena
 //!   fast path) plus the cloud-training time model of §IV-C,
 //! * [`codec`] — the compact `NXQT` binary table/delta codec used by
-//!   campaign checkpoints and the delta-bytes uplink cost model.
+//!   campaign checkpoints and the delta-bytes uplink cost model, and
+//!   the bounds-checked wire layer NXQT, NXCP and the tick trace share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +38,6 @@
 pub mod backend;
 pub mod codec;
 pub mod discretize;
-pub mod double_q;
 pub mod federated;
 pub mod learner;
 pub mod overlay;
@@ -47,7 +47,6 @@ pub mod qtable;
 pub use backend::{DenseStore, HashStore, QStore};
 pub use codec::{apply_delta, decode_table, delta_between, encode_table, CodecError};
 pub use discretize::Quantizer;
-pub use double_q::DoubleQ;
 pub use federated::{CloudModel, MergeAccumulator, MergeError};
 pub use learner::QLearning;
 pub use overlay::OverlayStore;

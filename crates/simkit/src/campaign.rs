@@ -57,6 +57,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use next_core::QTableStore;
+use qlearn::codec::{put_f64, put_str_u32, put_u16, put_u32, put_u64, Reader, WireError};
 use qlearn::{decode_table, encode_table, DenseQTable, DenseStore, OverlayStore};
 use qlearn::{MergeAccumulator, QTable};
 use workload::scenario::{splitmix64, DayPlanConfig};
@@ -771,74 +772,29 @@ fn build_report(
 // NXCP checkpoint codec
 // ---------------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A checkpoint decode failure, rendered as the message the campaign
+/// reports: wire faults map to the fixed NXCP texts below, recipe and
+/// ledger checks carry their own.
+struct CkptError(String);
+
+impl From<WireError> for CkptError {
+    fn from(e: WireError) -> Self {
+        CkptError(
+            match e {
+                // NXCP reads no varints, so `BadVarint` cannot arise
+                // here.
+                WireError::Truncated | WireError::BadVarint => "checkpoint truncated",
+                WireError::BadUtf8 => "checkpoint string not UTF-8",
+                WireError::Trailing(_) => "checkpoint has trailing bytes",
+            }
+            .to_owned(),
+        )
+    }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    #[allow(clippy::cast_possible_truncation)]
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct CkptReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> CkptReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.buf.len() - self.pos < n {
-            return Err("checkpoint truncated".to_owned());
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        // qlint::allow(PN01, reason = "take(2) returned exactly 2 bytes")
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        // qlint::allow(PN01, reason = "take(4) returned exactly 4 bytes")
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        // qlint::allow(PN01, reason = "take(8) returned exactly 8 bytes")
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "checkpoint string not UTF-8".to_owned())
-    }
-
-    fn done(&self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err("checkpoint has trailing bytes".to_owned())
-        }
+impl From<String> for CkptError {
+    fn from(msg: String) -> Self {
+        CkptError(msg)
     }
 }
 
@@ -858,7 +814,7 @@ fn encode_checkpoint(config: &CampaignConfig, state: &CampaignState) -> Vec<u8> 
     #[allow(clippy::cast_possible_truncation)]
     put_u32(&mut out, config.platforms.len() as u32);
     for p in &config.platforms {
-        put_str(&mut out, p);
+        put_str_u32(&mut out, p);
     }
     put_u32(&mut out, config.plan.pickups);
     put_f64(&mut out, config.plan.day_length_s);
@@ -900,7 +856,7 @@ fn encode_checkpoint(config: &CampaignConfig, state: &CampaignState) -> Vec<u8> 
     for ((p, app), table) in &state.globals {
         #[allow(clippy::cast_possible_truncation)]
         put_u16(&mut out, *p as u16);
-        put_str(&mut out, app);
+        put_str_u32(&mut out, app);
         let encoded = encode_table(&**table);
         put_u64(&mut out, encoded.len() as u64);
         out.extend_from_slice(&encoded);
@@ -931,17 +887,21 @@ fn check_field<T: PartialEq + std::fmt::Debug>(
 
 /// Parses and validates a checkpoint against `config`, restoring the
 /// campaign state it froze.
-#[allow(clippy::too_many_lines)]
 fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignState, String> {
-    let mut r = CkptReader { buf: bytes, pos: 0 };
+    read_checkpoint(bytes, config).map_err(|CkptError(msg)| msg)
+}
+
+#[allow(clippy::too_many_lines)]
+fn read_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignState, CkptError> {
+    let mut r = Reader::new(bytes);
     if r.take(4)? != CKPT_MAGIC {
-        return Err("not an NXCP checkpoint (bad magic)".to_owned());
+        return Err(CkptError("not an NXCP checkpoint (bad magic)".to_owned()));
     }
     let version = r.u16()?;
     if version != CKPT_VERSION {
-        return Err(format!(
+        return Err(CkptError(format!(
             "unsupported checkpoint version {version} (this build reads {CKPT_VERSION})"
-        ));
+        )));
     }
 
     check_field("devices", r.u64()?, config.devices as u64)?;
@@ -955,7 +915,7 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
         config.platforms.len() as u64,
     )?;
     for expected in &config.platforms {
-        check_field("platform", r.str()?, expected.clone())?;
+        check_field("platform", r.str_u32()?, expected.clone())?;
     }
     check_field("plan.pickups", r.u32()?, config.plan.pickups)?;
     check_field(
@@ -1006,16 +966,18 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
 
     let rounds_done = r.u64()? as usize;
     if rounds_done > config.rounds {
-        return Err(format!(
+        return Err(CkptError(format!(
             "checkpoint claims {rounds_done} rounds done of a {}-round campaign",
             config.rounds
-        ));
+        )));
     }
     let mut rounds = Vec::with_capacity(rounds_done);
     for i in 0..rounds_done {
         let round = r.u64()? as usize;
         if round != i {
-            return Err(format!("checkpoint round ledger out of order at {i}"));
+            return Err(CkptError(format!(
+                "checkpoint round ledger out of order at {i}"
+            )));
         }
         rounds.push(CampaignRound {
             round,
@@ -1031,10 +993,10 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
 
     let n_cohorts = r.u64()? as usize;
     if n_cohorts != config.cohort_count() {
-        return Err(format!(
+        return Err(CkptError(format!(
             "checkpoint has {n_cohorts} cohorts, config implies {}",
             config.cohort_count()
-        ));
+        )));
     }
     let mut cohorts = Vec::with_capacity(n_cohorts);
     for _ in 0..n_cohorts {
@@ -1061,9 +1023,11 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
     for _ in 0..n_tables {
         let p = r.u16()? as usize;
         if p >= config.platforms.len() {
-            return Err(format!("checkpoint table references platform index {p}"));
+            return Err(CkptError(format!(
+                "checkpoint table references platform index {p}"
+            )));
         }
-        let app = r.str()?;
+        let app = r.str_u32()?;
         let len = r.u64()? as usize;
         let table_bytes = r.take(len)?;
         let table = decode_table::<DenseStore>(table_bytes).map_err(|e| {
@@ -1073,7 +1037,7 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
             )
         })?;
         if globals.insert((p, app.clone()), Arc::new(table)).is_some() {
-            return Err(format!("checkpoint repeats table ({p}, {app})"));
+            return Err(CkptError(format!("checkpoint repeats table ({p}, {app})")));
         }
     }
     r.done()?;
@@ -1492,6 +1456,127 @@ mod tests {
         assert!(decode_checkpoint(&trailing, &config)
             .unwrap_err()
             .contains("trailing"));
+    }
+
+    /// A one-round checkpoint of `tiny(2, 1, 6)`: one ledger entry,
+    /// every cohort still empty and one two-cell merged table.
+    fn golden_state(config: &CampaignConfig) -> CampaignState {
+        let mut table = DenseQTable::dense_with_default_q(2, 25.0);
+        table.set(5, 1, 0.5);
+        table.set(9, 0, -2.0);
+        CampaignState {
+            rounds: vec![CampaignRound {
+                round: 0,
+                uplink_bytes: 1234,
+                downlink_bytes: 5678,
+                comm_s: 0.125,
+                states: 2,
+                visits: 2,
+                table_bytes: 4096,
+                dense_clone_bytes: 8192,
+            }],
+            cohorts: (0..config.cohort_count())
+                .map(|_| CohortAcc::new())
+                .collect(),
+            globals: BTreeMap::from([((0, "facebook".to_owned()), Arc::new(table))]),
+        }
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digit"))
+            .collect()
+    }
+
+    /// Golden bytes of `golden_state`, captured before the wire layer
+    /// was shared: header, recipe and ledger, then 16 empty cohorts
+    /// (count 0; per metric min = +inf, max = -inf, sum 0, 64 zero
+    /// bins), then the table section carrying one NXQT table.
+    fn golden_checkpoint() -> Vec<u8> {
+        const HEAD: &str = concat!(
+            "4e58435002000200000000000000010000000000000006000000000000000300",
+            "000000000000010000000a0000006578796e6f73393831300400000000000000",
+            "000079409a9999999999b93f0000000000002e40000000000000f03f00000000",
+            "00003e40000000000040af40cdcccccccccc0e40000000000000004000000000",
+            "0000004001000000000000000000000000000000d2040000000000002e160000",
+            "00000000000000000000c03f0200000000000000020000000000000000100000",
+            "0000000000200000000000001000000000000000",
+        );
+        const TAIL: &str = concat!(
+            "010000000000000000000800000066616365626f6f6b28000000000000004e58",
+            "515401000102000000000000003940020502000000000000e03f010401000000",
+            "00000000c001",
+        );
+        let metric = format!(
+            "000000000000f07f000000000000f0ff0000000000000000{}",
+            "00".repeat(8 * HIST_BINS)
+        );
+        let cohort = format!("{}{}", "00".repeat(8), metric.repeat(METRIC_COUNT));
+        unhex(&format!("{HEAD}{}{TAIL}", cohort.repeat(16)))
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let config = tiny(2, 1, 6);
+        let state = golden_state(&config);
+        let golden = golden_checkpoint();
+        assert!(
+            encode_checkpoint(&config, &state) == golden,
+            "encoder drifted"
+        );
+        let back = decode_checkpoint(&golden, &config).expect("golden decodes");
+        assert_eq!(back.rounds, state.rounds);
+        assert_eq!(back.cohorts, state.cohorts);
+        assert_eq!(back.globals, state.globals);
+    }
+
+    proptest::proptest! {
+        /// Flipped, truncated or spliced checkpoint bytes decode to a
+        /// state or a typed error — never a panic — and every proper
+        /// prefix is rejected. `zone` aims a third of the flips at the
+        /// header and ledger, a third anywhere and a third at the
+        /// trailing table section.
+        #[test]
+        fn corrupted_checkpoints_never_panic(
+            zone in 0u8..3,
+            at in 0usize..1 << 20,
+            to in 0u16..256,
+            cut in 0usize..1 << 20,
+            splice_from in 0usize..1 << 20,
+            splice_len in 1usize..64,
+            splice_to in 0usize..1 << 20,
+        ) {
+            let config = tiny(2, 1, 6);
+            let bytes = golden_checkpoint();
+            let len = bytes.len();
+
+            let mut flipped = bytes.clone();
+            let pos = match zone {
+                0 => at % 256,
+                1 => at % len,
+                _ => len - 1 - at % 128,
+            };
+            flipped[pos] = to as u8;
+            let _ = decode_checkpoint(&flipped, &config);
+
+            let cut = cut % len;
+            proptest::prop_assert!(decode_checkpoint(&bytes[..cut], &config).is_err());
+
+            // Splice a chunk of the checkpoint into itself, once
+            // inserted and once written over the bytes already there.
+            let from = splice_from % len;
+            let chunk = &bytes[from..(from + splice_len).min(len)];
+            let to = splice_to % len;
+            let mut inserted = bytes[..to].to_vec();
+            inserted.extend_from_slice(chunk);
+            inserted.extend_from_slice(&bytes[to..]);
+            let _ = decode_checkpoint(&inserted, &config);
+            let mut overwritten = bytes.clone();
+            let end = (to + chunk.len()).min(len);
+            overwritten[to..end].copy_from_slice(&chunk[..end - to]);
+            let _ = decode_checkpoint(&overwritten, &config);
+        }
     }
 
     #[test]

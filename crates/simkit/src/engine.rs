@@ -41,17 +41,6 @@ impl Engine {
         Engine { tick_s: 0.025 }
     }
 
-    /// Engine with a custom base tick.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `tick_s` is positive and finite.
-    #[must_use]
-    pub fn with_tick(tick_s: f64) -> Self {
-        assert!(tick_s > 0.0 && tick_s.is_finite(), "tick must be positive");
-        Engine { tick_s }
-    }
-
     /// Base tick in seconds.
     #[must_use]
     pub fn tick_s(&self) -> f64 {
@@ -259,11 +248,5 @@ mod tests {
         let mut session = SessionSim::new(SessionPlan::single("home", 5.0), 1);
         let out = engine.run(&mut soc, &mut gov, &mut session, 0.0);
         assert!(out.trace.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "tick must be positive")]
-    fn bad_tick_panics() {
-        let _ = Engine::with_tick(0.0);
     }
 }

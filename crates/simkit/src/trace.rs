@@ -57,6 +57,7 @@ use std::fmt;
 
 use governors::ControlDecision;
 use mpsoc::soc::SocState;
+use qlearn::codec::{put_f32, put_f64, put_str_u16, put_u16, put_u32, put_u64, Reader, WireError};
 use workload::DayPlanConfig;
 
 use crate::metrics::Battery;
@@ -259,6 +260,8 @@ pub enum TraceError {
     BadScenario(u8),
     /// Domain count outside `1..=`[`mpsoc::platform::MAX_DOMAINS`].
     BadDomains(u8),
+    /// A record's segment kind is neither gap (0) nor session (1).
+    BadSegment(u8),
     /// A length-prefixed string is not valid UTF-8.
     BadString,
     /// The buffer ends before the declared content does.
@@ -279,6 +282,7 @@ impl fmt::Display for TraceError {
             }
             TraceError::BadScenario(s) => write!(f, "unknown scenario discriminator {s}"),
             TraceError::BadDomains(n) => write!(f, "implausible domain count {n}"),
+            TraceError::BadSegment(k) => write!(f, "unknown segment kind {k}"),
             TraceError::BadString => write!(f, "metadata string is not valid UTF-8"),
             TraceError::Truncated => write!(f, "trace file is truncated"),
             TraceError::TrailingBytes(n) => {
@@ -290,104 +294,14 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-// --- little-endian wire helpers -------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Writes a `u16`-length-prefixed UTF-8 string.
-///
-/// # Panics
-///
-/// Panics when the string exceeds 65535 bytes (metadata names never
-/// approach this).
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    // qlint::allow(PN01, reason = "documented panic; metadata strings are short app/governor names")
-    let len = u16::try_from(s.len()).expect("metadata string fits u16 length");
-    put_u16(out, len);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
-        let end = self.pos.checked_add(n).ok_or(TraceError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(TraceError::Truncated);
+impl From<WireError> for TraceError {
+    fn from(e: WireError) -> Self {
+        match e {
+            // Traces read no varints, so `BadVarint` cannot arise here.
+            WireError::Truncated | WireError::BadVarint => TraceError::Truncated,
+            WireError::BadUtf8 => TraceError::BadString,
+            WireError::Trailing(n) => TraceError::TrailingBytes(n),
         }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, TraceError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, TraceError> {
-        Ok(u16::from_le_bytes(
-            // qlint::allow(PN01, reason = "take(2) returned exactly 2 bytes")
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(
-            // qlint::allow(PN01, reason = "take(4) returned exactly 4 bytes")
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(
-            // qlint::allow(PN01, reason = "take(8) returned exactly 8 bytes")
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f32(&mut self) -> Result<f32, TraceError> {
-        Ok(f32::from_le_bytes(
-            // qlint::allow(PN01, reason = "take(4) returned exactly 4 bytes")
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, TraceError> {
-        Ok(f64::from_le_bytes(
-            // qlint::allow(PN01, reason = "take(8) returned exactly 8 bytes")
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn str(&mut self) -> Result<String, TraceError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| TraceError::BadString)
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
     }
 }
 
@@ -406,9 +320,9 @@ impl TickTrace {
         out.push(SCENARIO_DAY);
         out.push(m.n_domains);
         put_f64(&mut out, m.tick_s);
-        put_str(&mut out, &m.platform);
-        put_str(&mut out, &m.governor);
-        put_str(&mut out, &m.persona);
+        put_str_u16(&mut out, &m.platform);
+        put_str_u16(&mut out, &m.governor);
+        put_str_u16(&mut out, &m.persona);
         put_u64(&mut out, m.seed);
         put_u32(&mut out, m.plan.pickups);
         put_f64(&mut out, m.plan.day_length_s);
@@ -454,7 +368,7 @@ impl TickTrace {
     /// malformed strings, truncation, and trailing bytes — a valid
     /// result always re-encodes to exactly the input.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         if r.take(4)? != TRACE_MAGIC {
             return Err(TraceError::BadMagic);
         }
@@ -471,9 +385,9 @@ impl TickTrace {
             return Err(TraceError::BadDomains(n_domains));
         }
         let tick_s = r.f64()?;
-        let platform = r.str()?;
-        let governor = r.str()?;
-        let persona = r.str()?;
+        let platform = r.str_u16()?;
+        let governor = r.str_u16()?;
+        let persona = r.str_u16()?;
         let seed = r.u64()?;
         let plan = DayPlanConfig {
             pickups: r.u32()?,
@@ -487,25 +401,21 @@ impl TickTrace {
             capacity_mah: r.f64()?,
             nominal_v: r.f64()?,
         };
-        let count = r.u64()?;
         let nd = usize::from(n_domains);
-        let rec_size = TickRecord::wire_size(nd);
-        let expected = count
-            .checked_mul(rec_size as u64)
+        // Records are fixed-size, so the declared count is checked
+        // against the bytes present before anything is allocated.
+        let count = usize::try_from(r.u64()?)
+            .ok()
+            .filter(|&n| {
+                n.checked_mul(TickRecord::wire_size(nd))
+                    .is_some_and(|len| len <= r.remaining())
+            })
             .ok_or(TraceError::Truncated)?;
-        let remaining = r.remaining() as u64;
-        if remaining < expected {
-            return Err(TraceError::Truncated);
-        }
-        if remaining > expected {
-            #[allow(clippy::cast_possible_truncation)]
-            return Err(TraceError::TrailingBytes((remaining - expected) as usize));
-        }
-        #[allow(clippy::cast_possible_truncation)]
-        let mut records = Vec::with_capacity(count as usize);
+        let mut records = Vec::with_capacity(count);
         for _ in 0..count {
             records.push(Self::decode_record(&mut r, nd)?);
         }
+        r.done()?;
         Ok(TickTrace {
             meta: TraceMeta {
                 platform,
@@ -528,7 +438,8 @@ impl TickTrace {
         let time_s = r.f64()?;
         let kind = match r.u8()? {
             0 => SegmentKind::Gap,
-            _ => SegmentKind::Session,
+            1 => SegmentKind::Session,
+            k => return Err(TraceError::BadSegment(k)),
         };
         let pickup = r.u16()?;
         let action = match r.u16()? {
@@ -907,6 +818,15 @@ mod tests {
         assert_eq!(
             TickTrace::decode(&bad_domains),
             Err(TraceError::BadDomains(200))
+        );
+
+        // The kind byte follows the first record's 8-byte timestamp.
+        let first_record = bytes.len() - trace.records.len() * TickRecord::wire_size(3);
+        let mut bad_segment = bytes.clone();
+        bad_segment[first_record + 8] = 2;
+        assert_eq!(
+            TickTrace::decode(&bad_segment),
+            Err(TraceError::BadSegment(2))
         );
 
         assert_eq!(

@@ -266,6 +266,16 @@ fn get_u64(flags: &Flags, name: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// `--workers <n>` (at least 1), or `default` when absent.
+fn get_workers(flags: &Flags, default: usize) -> Result<usize, String> {
+    let workers = usize::try_from(get_u64(flags, "workers", default as u64)?)
+        .map_err(|_| "--workers out of range".to_owned())?;
+    if workers == 0 {
+        return Err("--workers must be at least 1".to_owned());
+    }
+    Ok(workers)
+}
+
 fn require_platform(flags: &Flags) -> Result<PlatformPreset, String> {
     match flags.get("platform") {
         None => Ok(PlatformPreset::default()),
@@ -424,11 +434,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         "train-budget",
         StandardEvaluator::BASE_TRAIN_BUDGET_S,
     )?;
-    let workers = usize::try_from(get_u64(flags, "workers", sweep::default_workers() as u64)?)
-        .map_err(|_| "--workers out of range".to_owned())?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".to_owned());
-    }
+    let workers = get_workers(flags, sweep::default_workers())?;
 
     let preset = require_platform(flags)?;
     let cells = sweep::grid(&apps_list, &governors, &seeds, duration);
@@ -460,14 +466,7 @@ fn cmd_perf(flags: &Flags) -> Result<(), String> {
         perf::PerfConfig::full()
     };
     config.platform = require_platform(flags)?.name;
-    if flags.contains_key("workers") {
-        let workers = usize::try_from(get_u64(flags, "workers", config.workers as u64)?)
-            .map_err(|_| "--workers out of range".to_owned())?;
-        if workers == 0 {
-            return Err("--workers must be at least 1".to_owned());
-        }
-        config.workers = workers;
-    }
+    config.workers = get_workers(flags, config.workers)?;
     let min_ratio = get_f64(flags, "min-ratio", 0.5)?;
     if !(min_ratio > 0.0 && min_ratio.is_finite()) {
         return Err(format!("--min-ratio must be positive, got {min_ratio}"));
@@ -568,11 +567,7 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
         }
         config.round_budget_s = budget;
     }
-    let workers = usize::try_from(get_u64(flags, "workers", sweep::default_workers() as u64)?)
-        .map_err(|_| "--workers out of range".to_owned())?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".to_owned());
-    }
+    let workers = get_workers(flags, sweep::default_workers())?;
 
     eprintln!(
         "fleet: {devices} devices x {rounds} rounds on {app} ({}), \
@@ -667,11 +662,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
         }
         config.shard_size = shard;
     }
-    let workers = usize::try_from(get_u64(flags, "workers", sweep::default_workers() as u64)?)
-        .map_err(|_| "--workers out of range".to_owned())?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".to_owned());
-    }
+    let workers = get_workers(flags, sweep::default_workers())?;
     let options = CampaignOptions {
         checkpoint_dir: flags.get("checkpoint").map(PathBuf::from),
         resume: flags.contains_key("resume"),
@@ -810,11 +801,7 @@ fn cmd_day(flags: &Flags) -> Result<(), String> {
         ));
     }
     let preset = require_platform(flags)?;
-    let workers = usize::try_from(get_u64(flags, "workers", sweep::default_workers() as u64)?)
-        .map_err(|_| "--workers out of range".to_owned())?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".to_owned());
-    }
+    let workers = get_workers(flags, sweep::default_workers())?;
 
     let plans: Vec<DayPlan> = personas
         .iter()
@@ -918,11 +905,7 @@ fn read_trace(path: &str) -> Result<(Vec<u8>, TickTrace), String> {
 fn cmd_replay(flags: &Flags) -> Result<(), String> {
     let path = flags.get("trace").ok_or("--trace is required")?;
     let (bytes, recorded) = read_trace(path)?;
-    let workers = usize::try_from(get_u64(flags, "workers", sweep::default_workers() as u64)?)
-        .map_err(|_| "--workers out of range".to_owned())?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".to_owned());
-    }
+    let workers = get_workers(flags, sweep::default_workers())?;
     eprintln!(
         "replay: {} ticks — {} day, seed {}, {} on {} ...",
         recorded.records.len(),

@@ -3,10 +3,11 @@
 //! For arbitrary metadata and record streams, `encode` → `decode` must
 //! be the identity, and the encoding must be a fixpoint (decoding and
 //! re-encoding reproduces the exact bytes — the property `next-sim
-//! replay` builds its byte-identity check on). A corruption property
-//! pins the other direction: flipping any single byte of the header
-//! region either changes the decoded value or fails to parse, never
-//! silently round-trips to the original.
+//! replay` builds its byte-identity check on). Corruption properties
+//! pin the other direction: a truncated file never parses, and a file
+//! with any byte overwritten either fails with a typed error or decodes
+//! to a trace that re-encodes to exactly the corrupted bytes — never a
+//! panic, never a silent normalisation.
 
 use proptest::prelude::*;
 
@@ -132,5 +133,40 @@ proptest! {
             "truncation at byte {cut} of {} must not parse",
             bytes.len()
         );
+    }
+
+    /// Overwriting any one byte never panics, and whatever still
+    /// decodes is exactly what the bytes say: it re-encodes to them.
+    #[test]
+    fn byte_flips_never_panic_or_normalise(
+        n_domains in 1usize..9,
+        at in 0usize..4096,
+        to in 0u16..256,
+        recs in proptest::collection::vec(
+            (
+                0f64..1000.0,
+                0u8..2,
+                0u16..8,
+                0u16..40,
+                -1.0f32..1.0,
+                0f32..120.0,
+                0f32..12.0,
+                0f32..100.0,
+                15f32..95.0,
+                15f32..60.0,
+            ),
+            1..6,
+        ),
+    ) {
+        let trace = TickTrace {
+            meta: meta_from(n_domains, 7, 3, 1.0),
+            records: recs.iter().map(|t| record_from(t, n_domains)).collect(),
+        };
+        let mut bytes = trace.encode();
+        let at = at % bytes.len();
+        bytes[at] = to as u8;
+        if let Ok(back) = TickTrace::decode(&bytes) {
+            prop_assert_eq!(back.encode(), bytes, "decode must not normalise byte {}", at);
+        }
     }
 }
