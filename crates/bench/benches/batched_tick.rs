@@ -1,14 +1,14 @@
 //! **Batched tick kernel** — the structure-of-arrays [`SocBatch`]
 //! stepping N device lanes in lockstep versus the same cohort stepped
-//! one scalar [`Soc`] at a time, on identical pre-computed frame-demand
-//! traces (10 simulated seconds of a `facebook` session per lane, the
-//! in-SoC utilization governor as the only control loop).
+//! one device at a time, each as a width-1 batch (what a
+//! [`mpsoc::Soc`] is), on identical pre-computed frame-demand traces
+//! (10 simulated seconds of a `facebook` session per lane, the in-SoC
+//! utilization governor as the only control loop).
 //!
 //! Three widths bracket the kernel's scaling story:
 //!
-//! * `batched_tick_w1` — the width-1 degenerate case: the batch is a
-//!   view over the same physics, so this prices the kernel's fixed
-//!   per-tick overhead against `soc_tick_sequential_w1`.
+//! * `batched_tick_w1` — the width-1 case, identical work to
+//!   `width1_sequential_w1`: the pair bounds the bench's own noise.
 //! * `batched_tick_w8` — a day-runner-sized cohort (the 6 standard
 //!   governors plus headroom).
 //! * `batched_tick_w64` — a fleet-round-sized cohort, where the
@@ -23,7 +23,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use mpsoc::perf::FrameDemand;
-use mpsoc::soc::{Soc, SocConfig};
+use mpsoc::soc::SocConfig;
 use mpsoc::SocBatch;
 use simkit::Engine;
 use workload::{SessionPlan, SessionSim};
@@ -64,15 +64,15 @@ fn bench_batched_tick(crit: &mut Criterion) {
             });
         });
 
-        crit.bench_function(&format!("soc_tick_sequential_w{width}"), |b| {
+        crit.bench_function(&format!("width1_sequential_w{width}"), |b| {
             b.iter(|| {
                 let mut total = 0.0;
                 for lane in 0..width {
-                    let mut soc = Soc::new(config.clone());
+                    let mut solo = SocBatch::replicate(&config, 1).unwrap();
                     for row in &demands {
-                        soc.tick(black_box(dt), black_box(&row[lane]));
+                        solo.tick(black_box(dt), black_box(&row[lane..=lane]));
                     }
-                    total += soc.state().temp_device_c;
+                    total += solo.state(0).temp_device_c;
                 }
                 black_box(total)
             });

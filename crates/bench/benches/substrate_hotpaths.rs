@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use mpsoc::perf::{self, FrameDemand};
-use mpsoc::thermal::ThermalNetwork;
+use mpsoc::thermal::{self, ThermalConfig};
 use mpsoc::vsync::VsyncPipeline;
 use mpsoc::{Soc, SocConfig};
 use qlearn::{QLearning, QTable};
@@ -20,10 +20,24 @@ fn bench_substrates(c: &mut Criterion) {
         b.iter(|| black_box(soc.tick(0.025, black_box(&demand))));
     });
 
-    let mut net = ThermalNetwork::exynos9810(21.0);
+    let net = ThermalConfig::exynos9810(21.0);
+    let max_dt = thermal::max_stable_dt(&net);
+    let mut temps = vec![21.0; net.nodes.len()];
+    let mut flux = vec![0.0; net.nodes.len()];
     let powers = [3.0, 0.4, 2.5, 0.9, 0.0];
     c.bench_function("thermal_step_25ms", |b| {
-        b.iter(|| net.step(black_box(&powers), 0.025));
+        b.iter(|| {
+            thermal::step_lanes(
+                &net,
+                max_dt,
+                1,
+                &mut temps,
+                black_box(&powers),
+                &[21.0],
+                &mut flux,
+                0.025,
+            );
+        });
     });
 
     let mut pipe = VsyncPipeline::new(60.0);

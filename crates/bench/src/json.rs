@@ -208,11 +208,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on malformed input.
+    /// Returns [`JsonError`] on malformed input, including arrays and
+    /// objects nested deeper than [`MAX_DEPTH`] (the parser recurses
+    /// once per level, so the limit is what keeps hostile input from
+    /// exhausting the stack).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -223,6 +226,10 @@ impl Json {
         Ok(value)
     }
 }
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Every artifact
+/// this crate writes nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
 
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
@@ -264,12 +271,19 @@ fn expect(bytes: &[u8], pos: &mut usize, what: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value; `depth` counts the arrays and objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(err(
+            *pos,
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -359,24 +373,31 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so the
-                // byte stream is valid UTF-8).
-                // qlint::allow(PN01, reason = "bytes came from a &str and pos sits on a scalar boundary, so the tail is valid UTF-8")
-                let rest = std::str::from_utf8(&bytes[*pos..]).expect("input was a str");
-                // qlint::allow(PN01, reason = "the Some(_) match arm guarantees at least one byte remains")
-                let c = rest.chars().next().expect("non-empty");
+            Some(&lead) => {
+                // Consume one UTF-8 scalar, sized by its lead byte (the
+                // input is a &str, so the scalar is well formed).
+                let width = match lead {
+                    0..=0x7f => 1,
+                    0xf0.. => 4,
+                    0xe0.. => 3,
+                    _ => 2,
+                };
+                let c = bytes
+                    .get(*pos..*pos + width)
+                    .and_then(|b| std::str::from_utf8(b).ok())
+                    .and_then(|s| s.chars().next())
+                    .ok_or_else(|| err(*pos, "invalid UTF-8"))?;
                 if (c as u32) < 0x20 {
                     return Err(err(*pos, "raw control character in string"));
                 }
                 out.push(c);
-                *pos += c.len_utf8();
+                *pos += width;
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -385,7 +406,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -398,7 +419,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -411,7 +432,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -551,5 +572,84 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn non_finite_numbers_rejected_at_construction() {
         let _ = Json::num(f64::NAN);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"k\":"] {
+            let hostile = open.repeat(100_000);
+            let e = Json::parse(&hostile).expect_err("100 000 levels must not parse");
+            assert!(e.reason.contains("nesting"), "{e}");
+        }
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+    }
+
+    /// A document with every value kind, escapes and multi-byte text.
+    fn sample_document() -> String {
+        Json::Obj(vec![
+            ("schema".to_owned(), Json::num(3.0)),
+            ("note".to_owned(), Json::str("tab\t \"q\" é 日 🦀 \u{1}")),
+            (
+                "cells".to_owned(),
+                Json::Arr(vec![
+                    Json::Obj(vec![
+                        ("ticks".to_owned(), Json::num_u64(u64::MAX)),
+                        ("rate".to_owned(), Json::num(-1.5e-7)),
+                        ("ok".to_owned(), Json::Bool(true)),
+                    ]),
+                    Json::Null,
+                    Json::Arr(vec![Json::Arr(vec![]), Json::Obj(vec![])]),
+                ]),
+            ),
+        ])
+        .render()
+    }
+
+    proptest::proptest! {
+        /// Bit flips, truncations, splices and deep-nesting prefixes of
+        /// a valid document: `parse` returns, `Ok` or `Err`, and never
+        /// panics. Each case applies 50 mutations.
+        #[test]
+        fn mutated_documents_never_panic(
+            op in 0usize..4,
+            a in 0usize..1_000_000,
+            b in 0usize..1_000_000,
+            c in 0usize..1_000_000,
+        ) {
+            let doc = sample_document().into_bytes();
+            let n = doc.len();
+            for k in 0..50 {
+                let (a, b, c) = (a + 7_919 * k, b + 104_729 * k, c + 1_299_709 * k);
+                let mutated: Vec<u8> = match op {
+                    0 => {
+                        let mut m = doc.clone();
+                        m[a % n] ^= 1 << (b % 8);
+                        m
+                    }
+                    1 => doc[..a % (n + 1)].to_vec(),
+                    2 => {
+                        let (from, len, to) = (a % n, b % 64, c % (n + 1));
+                        let chunk = &doc[from..(from + len).min(n)];
+                        let mut m = doc[..to].to_vec();
+                        m.extend_from_slice(chunk);
+                        m.extend_from_slice(&doc[to..]);
+                        m
+                    }
+                    _ => {
+                        let open: &[u8] = if b % 2 == 0 { b"[" } else { b"{\"k\":" };
+                        let mut m = open.repeat(a % 5_000);
+                        m.extend_from_slice(&doc[..c % (n + 1)]);
+                        m
+                    }
+                };
+                let text = String::from_utf8_lossy(&mutated);
+                let parsed = Json::parse(&text);
+                if op == 3 && a % 5_000 > MAX_DEPTH {
+                    proptest::prop_assert!(parsed.is_err());
+                }
+            }
+        }
     }
 }

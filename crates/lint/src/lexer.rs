@@ -136,14 +136,19 @@ impl<'a> Lexer<'a> {
                 // One punctuation character; multi-byte UTF-8 scalars
                 // (only reachable in pathological input) are consumed
                 // whole so token boundaries stay char boundaries.
-                let width = self.src[self.pos..]
-                    .chars()
-                    .next()
-                    .map_or(1, char::len_utf8);
-                self.advance(width);
+                self.advance(self.char_width());
                 TokenKind::Punct
             }
         }
+    }
+
+    /// Byte width of the UTF-8 scalar at the cursor (1 at end of
+    /// input).
+    fn char_width(&self) -> usize {
+        self.src
+            .get(self.pos..)
+            .and_then(|rest| rest.chars().next())
+            .map_or(1, char::len_utf8)
     }
 
     fn peek(&self, ahead: usize) -> Option<u8> {
@@ -274,18 +279,17 @@ impl<'a> Lexer<'a> {
     fn char_literal_body(&mut self) {
         while self.pos < self.bytes.len() {
             match self.bytes[self.pos] {
-                b'\\' => self.advance(2),
+                b'\\' => {
+                    // The backslash, then the whole escaped character:
+                    // `'\é'` must not stop inside the `é`.
+                    self.advance(1);
+                    self.advance(self.char_width());
+                }
                 b'\'' => {
                     self.advance(1);
                     return;
                 }
-                _ => {
-                    let width = self.src[self.pos..]
-                        .chars()
-                        .next()
-                        .map_or(1, char::len_utf8);
-                    self.advance(width);
-                }
+                _ => self.advance(self.char_width()),
             }
         }
     }

@@ -27,14 +27,16 @@
 //! capacitances, conductances, Hz ladders) are hoisted out of the lane
 //! loops and shared by every device.
 //!
-//! # Byte-identity with the scalar path
+//! # One kernel, any width
 //!
-//! Batching is a pure interleaving: lane `l` of a batch performs exactly
-//! the floating-point operation sequence [`crate::Soc::tick`] performs
-//! for the same device, in the same order, so results are bit-identical
-//! to running `width` independent [`crate::Soc`]s. The width-1
-//! equivalence suite in this module and the cross-crate proptests pin
-//! that contract.
+//! This is the only physics implementation in the crate: a single
+//! device ([`crate::Soc`]) is a width-1 batch. Batching is a pure
+//! interleaving — lane `l` of a batch performs exactly the
+//! floating-point operation sequence it would perform run alone, in the
+//! same order — so a lane of a heterogeneous width-N cohort is
+//! bit-identical to the same device stepped as a width-1 batch. The
+//! lane-independence suite in this module and the cross-crate proptests
+//! pin that contract.
 //!
 //! Lanes may differ in ambient temperature and platform base power (the
 //! fleet's device bins); everything structural must match across lanes
@@ -42,8 +44,9 @@
 //!
 //! # Example
 //!
-//! Two idle devices tick in lockstep and match a scalar [`crate::Soc`]
-//! bit for bit:
+//! Two devices tick in lockstep; the idle lane matches the same device
+//! stepped alone as a [`crate::Soc`] (a width-1 batch) bit for bit,
+//! whatever its neighbour runs:
 //!
 //! ```
 //! use mpsoc::perf::FrameDemand;
@@ -52,14 +55,15 @@
 //!
 //! let config = SocConfig::exynos9810();
 //! let mut batch = SocBatch::replicate(&config, 2).unwrap();
-//! let mut scalar = Soc::new(config);
+//! let mut alone = Soc::new(config);
 //! let idle = FrameDemand::default();
+//! let game = FrameDemand::new(22.0e6, 6.0e6, 30.0e6);
 //! for _ in 0..40 {
-//!     batch.tick(0.025, &[idle, idle]);
-//!     scalar.tick(0.025, &idle);
+//!     batch.tick(0.025, &[idle, game]);
+//!     alone.tick(0.025, &idle);
 //! }
-//! assert_eq!(batch.state(0), batch.state(1), "identical lanes stay identical");
-//! assert_eq!(batch.state(0), scalar.state(), "batching is unobservable");
+//! assert_ne!(batch.state(0), batch.state(1), "the lanes ran different loads");
+//! assert_eq!(batch.state(0), alone.state(), "a lane never sees its neighbour");
 //! ```
 
 use std::collections::VecDeque;
@@ -69,21 +73,26 @@ use crate::freq::{KiloHertz, Opp};
 use crate::perf::{self, FrameDemand};
 use crate::platform::{DomainId, PerDomain, Platform};
 use crate::power::{DomainPowerModel, PowerBreakdown};
-use crate::soc::{SocConfig, SocState, TickOutput, FPS_WINDOW_S};
+use crate::soc::{SocConfig, SocState, TickOutput};
 use crate::thermal::{self, NodeId, ThermalConfig};
 use crate::vsync::{VsyncOutput, VsyncPipeline};
 use crate::{Error, Result};
 
-/// A batch of `width` devices stepped in lockstep through the single
-/// physics kernel shared with [`Soc`](crate::Soc).
+/// Length of the rolling window behind [`SocState::fps`], seconds.
+/// Instantaneous per-tick rates quantise to multiples of the tick/VSync
+/// ratio (e.g. 40/80 FPS at 25 ms ticks); half a second of history is
+/// what Android's frame-rate instrumentation effectively reports.
+const FPS_WINDOW_S: f64 = 0.5;
+
+/// A batch of `width` devices stepped in lockstep through the crate's
+/// one physics kernel ([`Soc`](crate::Soc) is its width-1 case).
 #[derive(Debug, Clone)]
 pub struct SocBatch {
     platform: Platform,
     width: usize,
     refresh_hz: f64,
-    /// DVFS controller per lane: the governor actuation surface, exactly
-    /// the object a [`crate::Soc`] exposes (policy caps and current
-    /// levels are per-device state).
+    /// DVFS controller per lane: the governor actuation surface (policy
+    /// caps and current levels are per-device state).
     dvfs: Vec<DvfsController>,
     /// VSync/triple-buffer pipeline per lane (render phase is
     /// per-device state).
@@ -166,8 +175,8 @@ pub struct SocBatch {
     /// Full per-lane output of the most recent tick.
     last_tick: Vec<TickOutput>,
     /// Frequency level per `domain × lane` as of the end of the last
-    /// tick (a snapshot, so [`SocBatch::state`] reports pre-control
-    /// frequencies exactly like the scalar path's cached state).
+    /// tick (a snapshot, so [`SocBatch::state`] reports the frequencies
+    /// the tick ran at, not control actuated since).
     level_snap: Vec<usize>,
     /// `maxfreq` cap level per `domain × lane` at the end of the last
     /// tick.
@@ -178,8 +187,7 @@ pub struct SocBatch {
     window_dt: VecDeque<f64>,
     /// Presented frames per window slot × lane, slot-major.
     window_frames: VecDeque<u32>,
-    /// Window length as the scalar path computes it (sum minus popped
-    /// fronts — kept verbatim for bit-identical division).
+    /// Window length: the dt sum minus popped fronts, in that order.
     window_total_dt_s: f64,
 }
 
@@ -188,8 +196,8 @@ impl SocBatch {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] exactly when
-    /// [`crate::Soc::try_new`] would for `config`.
+    /// Returns [`Error::InvalidConfig`] when `config` is invalid (see
+    /// [`SocBatch::try_from_configs`]).
     pub fn replicate(config: &SocConfig, width: usize) -> Result<Self> {
         let configs = vec![config.clone(); width];
         SocBatch::try_from_configs(&configs)
@@ -204,9 +212,10 @@ impl SocBatch {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] on an empty cohort, on any
-    /// configuration [`crate::Soc::try_new`] would reject, or when the
-    /// lanes diverge structurally.
+    /// Returns [`Error::InvalidConfig`] on an empty cohort, a
+    /// non-positive refresh rate, a domain mapped to a thermal node
+    /// outside the network, an invalid thermal network, or lanes that
+    /// diverge structurally.
     #[allow(clippy::too_many_lines)]
     pub fn try_from_configs(configs: &[SocConfig]) -> Result<Self> {
         let first = configs
@@ -294,18 +303,6 @@ impl SocBatch {
         for node in 0..n_nodes {
             temps_c[node * width..(node + 1) * width].copy_from_slice(&ambient_c);
         }
-        let zero_tick = TickOutput {
-            dt_s: 0.0,
-            fps: 0.0,
-            vsync: VsyncOutput::default(),
-            power: PowerBreakdown {
-                domain_w: PerDomain::new(n),
-                base_w: 0.0,
-            },
-            power_w: 0.0,
-            util: PerDomain::new(n),
-            opps: PerDomain::new(n),
-        };
         let mut batch = SocBatch {
             width,
             refresh_hz: first.refresh_hz,
@@ -339,7 +336,7 @@ impl SocBatch {
             last_utils: vec![0.0; n * width],
             time_s: vec![0.0; width],
             energy_j: vec![0.0; width],
-            last_tick: vec![zero_tick; width],
+            last_tick: vec![zero_tick(n); width],
             level_snap: vec![0; n * width],
             cap_snap: vec![0; n * width],
             window_dt: VecDeque::new(),
@@ -381,8 +378,7 @@ impl SocBatch {
     }
 
     /// DVFS controller of one lane — the governor's actuator, applied
-    /// between ticks exactly like [`crate::Soc::dvfs_mut`]. The
-    /// controller is brought up to date with the level mirror before it
+    /// between ticks. The controller is brought up to date with the level mirror before it
     /// is handed out, and the lane is marked for a mirror re-read when
     /// the next tick starts.
     pub fn dvfs_mut(&mut self, lane: usize) -> &mut DvfsController {
@@ -449,12 +445,50 @@ impl SocBatch {
         &self.last_tick[lane]
     }
 
+    /// Whether the hardware thermal clamp holds any domain of one lane
+    /// below its top level.
+    #[must_use]
+    pub fn is_throttling(&self, lane: usize) -> bool {
+        let w = self.width;
+        self.throttle_enabled
+            && (0..self.platform.n_domains())
+                .any(|d| self.clamp_level[d * w + lane] != self.top_level[d])
+    }
+
+    /// Returns every lane to a cold start: nodes at the lane's ambient,
+    /// throttle clamps released, VSync phase, utilisation history, FPS
+    /// window, time and energy cleared. DVFS levels and policy caps are
+    /// kept, including actuation since the last tick.
+    pub fn reset(&mut self) {
+        let w = self.width;
+        let n = self.platform.n_domains();
+        for row in self.temps_c.chunks_exact_mut(w) {
+            row.copy_from_slice(&self.ambient_c);
+        }
+        for d in 0..n {
+            self.clamp_level[d * w..(d + 1) * w].fill(self.top_level[d]);
+        }
+        self.vsync = vec![VsyncPipeline::new(self.refresh_hz); w];
+        self.last_utils.fill(0.0);
+        self.time_s.fill(0.0);
+        self.energy_j.fill(0.0);
+        self.last_tick.fill(zero_tick(n));
+        self.window_dt.clear();
+        self.window_frames.clear();
+        self.window_total_dt_s = 0.0;
+        for l in 0..w {
+            if self.dvfs_dirty[l] {
+                self.dvfs_dirty[l] = false;
+                self.resync_lane_dvfs(l);
+            }
+        }
+        self.snapshot_dvfs();
+    }
+
     /// The governor-visible state of one lane after the most recent
-    /// tick — bit-identical to [`crate::Soc::state`] on the scalar
-    /// path. Materialised on demand from the arenas (DVFS-derived
+    /// tick. Materialised on demand from the arenas (DVFS-derived
     /// fields come from the end-of-tick snapshot, so control actuation
-    /// between ticks does not leak into the observation, matching the
-    /// scalar path's cached state).
+    /// between ticks does not leak into the observation).
     #[must_use]
     pub fn state(&self, lane: usize) -> SocState {
         let n = self.platform.n_domains();
@@ -479,14 +513,16 @@ impl SocBatch {
             power_w: self.last_tick[lane].power_w,
             temp_domain_c,
             temp_hot_c: temp_domain_c[self.platform.hot_domain().index()],
-            temp_device_c: 0.45 * skin + 0.35 * board + 0.20 * die_max,
+            temp_device_c: thermal::device_sensor_c(skin, board, die_max),
             temp_battery_c: board,
             util: PerDomain::from_fn(n, |d| self.last_utils[d * w + lane]),
         }
     }
 
-    /// Rolling-window FPS of one lane — the scalar
-    /// `update_fps_window` quotient, computed from the shared window.
+    /// Rolling-window FPS of one lane: its presented frames over the
+    /// shared window length, capped at the refresh rate (VSync
+    /// boundaries need not align with the window edge, so the raw
+    /// quotient can exceed it by a fraction of a frame).
     fn windowed_fps(&self, lane: usize) -> f64 {
         if self.window_total_dt_s <= 0.0 {
             return 0.0;
@@ -501,9 +537,10 @@ impl SocBatch {
     }
 
     /// Advances every lane by `dt_s` seconds; `demands[lane]` is the
-    /// frame demand lane `lane` executes. Performs, per lane, exactly
-    /// the pipeline of [`crate::Soc::tick`]: in-kernel frequency
-    /// selection, throttle transition, frame execution + VSync, power
+    /// frame demand lane `lane` executes. Performs, per lane: the
+    /// kernel's utilisation-tracking frequency selection on the previous
+    /// tick's utilisation, the hardware throttle transition (its clamp
+    /// outranks every software policy), frame execution + VSync, power
     /// integration at the pre-step die temperatures, thermal update.
     ///
     /// # Panics
@@ -524,12 +561,9 @@ impl SocBatch {
             }
         }
 
-        // 1. In-kernel utilisation-tracking selection —
-        //    [`DvfsController::select_by_util`] per lane, restructured
-        //    domain-outer over the SoA mirrors (each `domain × lane`
-        //    choice is independent, so the transposed order picks the
-        //    same levels, and therefore the same downstream bits).
-        //    Writes land in the mirror only; stale controllers are
+        // 1. In-kernel utilisation-tracking selection, domain-outer over
+        //    the SoA mirrors (each `domain × lane` choice is
+        //    independent). Writes land in the mirror only; stale controllers are
         //    caught up on handout (`flush_lane_ctl`).
         for (d, ladder) in self.hz_ladder.iter().enumerate() {
             let base = d * w;
@@ -643,7 +677,8 @@ impl SocBatch {
             dt_s,
         );
 
-        // 7. Per-lane accounting: totals in the scalar summation order.
+        // 7. Per-lane accounting: totals summed domain by domain, then
+        //    the floor.
         for l in 0..w {
             let mut total_w = 0.0;
             for d in 0..n {
@@ -774,18 +809,41 @@ impl SocBatch {
     }
 }
 
-/// One domain's round of utilisation-tracking selection across all
-/// lanes — [`DvfsController::select_by_util`] with the kHz→Hz ladder
-/// conversion hoisted out of the per-tick path and current levels /
-/// policy caps read from the batch's SoA mirror rows (the chosen
-/// levels, and therefore every downstream bit, are identical; each
-/// `domain × lane` choice is independent, so the domain-outer order is
-/// unobservable). Level changes land in the mirror only — the lane is
-/// flagged stale and its controller caught up lazily on handout
-/// ([`SocBatch::flush_lane_ctl`]); the scalar path's `set_level(level)`
-/// stores `level.clamp(min, max)`, i.e. exactly the mirrored `chosen`.
+/// The output every lane reports before its first tick.
+fn zero_tick(n_domains: usize) -> TickOutput {
+    TickOutput {
+        dt_s: 0.0,
+        fps: 0.0,
+        vsync: VsyncOutput::default(),
+        power: PowerBreakdown {
+            domain_w: PerDomain::new(n_domains),
+            base_w: 0.0,
+        },
+        power_w: 0.0,
+        util: PerDomain::new(n_domains),
+        opps: PerDomain::new(n_domains),
+    }
+}
+
+/// One domain's round of utilisation-tracking frequency selection
+/// across all lanes — the in-kernel policy that operates *within* the
+/// governor's caps:
+///
+/// * a lane whose utilisation (clamped to `[0, 1]`) reaches its boost
+///   threshold is slammed to the top of the ladder (Android
+///   touch/iowait boosting — the over-provisioning the paper exploits),
+/// * otherwise the target is `margin · util · f_cur`; ramp-up picks the
+///   slowest OPP at or above the target, while ramp-down is rate
+///   limited to one OPP per invocation (the stock policy holds
+///   frequency after bursts),
+/// * the result is clamped to the lane's policy caps.
+///
+/// `ladder` is the domain's OPP ladder in Hz; current levels and caps
+/// are the batch's SoA mirror rows. Level changes land in the mirror
+/// only — the lane is flagged stale and its controller caught up lazily
+/// on handout ([`SocBatch::flush_lane_ctl`]).
 #[allow(clippy::too_many_arguments)]
-fn select_domain_lanes(
+pub(crate) fn select_domain_lanes(
     ladder: &[f64],
     last_utils: &[f64],
     margin: &[f64],
@@ -816,9 +874,9 @@ fn select_domain_lanes(
             // First ladder index at or above the target. The ladder is
             // strictly ascending, so that index equals the number of
             // entries below the target — counted branchlessly, which
-            // vectorises, instead of the scalar path's early-exit scan
-            // (when no entry qualifies the count is the length, and
-            // the `min` reproduces the scan's last-level fallback).
+            // vectorises, instead of an early-exit scan (when no entry
+            // qualifies the count is the length, and the `min` falls
+            // back to the last level).
             let below = ladder.iter().map(|&h| usize::from(h < target_hz)).sum();
             let want = usize::min(below, top);
             if want < cur_level {
@@ -841,7 +899,8 @@ mod tests {
     use crate::soc::Soc;
     use crate::throttle::ThrottleConfig;
 
-    /// Deterministic demand schedule mixing idle, UI and game phases.
+    /// Deterministic demand schedule mixing idle, UI and game phases;
+    /// neighbouring lanes are in different phases at every tick.
     fn demand_at(tick: usize, lane: usize) -> FrameDemand {
         let phase = (tick / 40 + lane) % 4;
         match phase {
@@ -852,55 +911,78 @@ mod tests {
         }
     }
 
-    fn states_equal(a: &SocState, b: &SocState) -> bool {
-        a == b
+    /// Every device run alone, as a width-1 batch.
+    fn alone(configs: &[SocConfig]) -> Vec<SocBatch> {
+        configs
+            .iter()
+            .map(|c| SocBatch::replicate(c, 1).expect("valid device"))
+            .collect()
     }
 
-    /// Runs `ticks` steps through both paths and asserts bit-identical
-    /// per-lane states every step.
-    fn assert_equivalent(configs: &[SocConfig], ticks: usize) {
-        let mut socs: Vec<Soc> = configs.iter().map(|c| Soc::new(c.clone())).collect();
-        let mut batch = SocBatch::try_from_configs(configs).expect("valid batch");
-        assert_eq!(batch.width(), configs.len());
+    /// Asserts lane `lane` of `cohort` is bit-identical to `solo`.
+    fn assert_lane_is(cohort: &SocBatch, lane: usize, solo: &SocBatch, what: &str) {
+        let (a, b) = (cohort.tick_output(lane), solo.tick_output(0));
+        assert_eq!(a, b, "{what}: lane {lane} tick output");
+        assert_eq!(
+            a.power_w.to_bits(),
+            b.power_w.to_bits(),
+            "{what}: lane {lane} power"
+        );
+        assert_eq!(a.fps.to_bits(), b.fps.to_bits(), "{what}: lane {lane} fps");
+        assert!(
+            cohort.state(lane) == solo.state(0),
+            "{what}: lane {lane} state drifted:\n cohort {:?}\n alone  {:?}",
+            cohort.state(lane),
+            solo.state(0)
+        );
+        assert_eq!(
+            cohort.energy_j(lane).to_bits(),
+            solo.energy_j(0).to_bits(),
+            "{what}: lane {lane} energy"
+        );
+    }
+
+    /// Steps `configs` as one cohort, each lane on its own demand
+    /// schedule, next to every device run alone, and asserts lane
+    /// independence after every tick.
+    fn assert_lanes_independent(configs: &[SocConfig], ticks: usize) {
+        let mut cohort = SocBatch::try_from_configs(configs).expect("valid batch");
+        let mut solos = alone(configs);
+        assert_eq!(cohort.width(), configs.len());
         let mut demands = vec![FrameDemand::default(); configs.len()];
         for t in 0..ticks {
             for (l, d) in demands.iter_mut().enumerate() {
                 *d = demand_at(t, l);
             }
-            batch.tick(0.025, &demands);
-            for (l, soc) in socs.iter_mut().enumerate() {
-                let out = soc.tick(0.025, &demands[l]);
-                let bout = batch.tick_output(l);
-                assert_eq!(
-                    out.fps.to_bits(),
-                    bout.fps.to_bits(),
-                    "tick {t} lane {l} fps"
-                );
-                assert_eq!(
-                    out.power_w.to_bits(),
-                    bout.power_w.to_bits(),
-                    "tick {t} lane {l} power"
-                );
-                assert_eq!(out.vsync, bout.vsync, "tick {t} lane {l} vsync");
-                assert_eq!(out.opps, bout.opps, "tick {t} lane {l} opps");
-                assert!(
-                    states_equal(&soc.state(), &batch.state(l)),
-                    "tick {t} lane {l} state drifted:\n scalar {:?}\n batch  {:?}",
-                    soc.state(),
-                    batch.state(l)
-                );
+            cohort.tick(0.025, &demands);
+            for (l, solo) in solos.iter_mut().enumerate() {
+                solo.tick(0.025, &demands[l..=l]);
+                assert_lane_is(&cohort, l, solo, &format!("tick {t}"));
             }
         }
     }
 
+    /// The `Soc` façade adds nothing to the width-1 kernel: its tick
+    /// outputs, states and controller handouts are the batch's.
     #[test]
     fn width_one_matches_soc_bit_for_bit() {
-        assert_equivalent(&[SocConfig::exynos9810()], 600);
+        let cfg = SocConfig::exynos9810();
+        let mut soc = Soc::new(cfg.clone());
+        let mut batch = SocBatch::replicate(&cfg, 1).unwrap();
+        for t in 0..600 {
+            let demand = demand_at(t, 0);
+            let out = soc.tick(0.025, &demand);
+            batch.tick(0.025, &[demand]);
+            assert_eq!(&out, batch.tick_output(0), "tick {t} output");
+            assert!(soc.state() == batch.state(0), "tick {t} state");
+            assert_eq!(soc.time_s().to_bits(), batch.time_s(0).to_bits());
+            assert_eq!(soc.dvfs(), batch.dvfs(0), "tick {t} controller");
+        }
     }
 
     #[test]
     fn width_four_9820_matches_soc_bit_for_bit() {
-        assert_equivalent(&vec![SocConfig::exynos9820(); 4], 400);
+        assert_lanes_independent(&vec![SocConfig::exynos9820(); 4], 400);
     }
 
     #[test]
@@ -915,101 +997,115 @@ mod tests {
                 cfg
             })
             .collect();
-        assert_equivalent(&configs, 400);
+        assert_lanes_independent(&configs, 400);
     }
 
     #[test]
     fn initial_state_matches_scalar() {
-        let soc = Soc::new(SocConfig::exynos9810());
-        let batch = SocBatch::replicate(&SocConfig::exynos9810(), 3).unwrap();
-        for l in 0..3 {
-            assert!(states_equal(&soc.state(), &batch.state(l)));
+        let configs: Vec<SocConfig> = [21.0, 35.0, 10.0]
+            .iter()
+            .map(|&a| SocConfig::exynos9810().with_ambient(a))
+            .collect();
+        let cohort = SocBatch::try_from_configs(&configs).unwrap();
+        for (l, solo) in alone(&configs).iter().enumerate() {
+            assert_lane_is(&cohort, l, solo, "before the first tick");
         }
+        assert_ne!(cohort.state(0), cohort.state(1), "ambients differ");
     }
 
     #[test]
     fn throttling_lanes_match_scalar() {
+        // Lane 0 is pinned to its top OPPs under a heavy game with a
+        // 40 °C trip, so its clamp engages; lane 1 idles beside it.
         let mut cfg = SocConfig::exynos9810();
         cfg.throttle = ThrottleConfig {
             enabled: true,
             trip_c: vec![40.0, 40.0, 40.0],
             hysteresis_c: 3.0,
         };
-        let mut soc = Soc::new(cfg.clone());
-        let mut batch = SocBatch::replicate(&cfg, 2).unwrap();
-        let demand = FrameDemand::new(22.0e6, 6.0e6, 30.0e6).with_background(0.3e9, 0.1e9, 0.0);
-        let demands = [demand, demand];
-        // Pin every domain to its top OPP on both paths so the clamp
-        // must engage.
-        for id in soc.platform().ids().collect::<Vec<_>>() {
-            let top = soc.dvfs().domain(id).table().max().freq_khz;
-            soc.dvfs_mut().pin_freq(id, top).unwrap();
-            for l in 0..2 {
-                batch.dvfs_mut(l).pin_freq(id, top).unwrap();
+        let configs = [cfg.clone(), cfg];
+        let mut cohort = SocBatch::try_from_configs(&configs).unwrap();
+        let mut solos = alone(&configs);
+        let ids: Vec<DomainId> = cohort.platform().ids().collect();
+        for &id in &ids {
+            let top = cohort.dvfs(0).domain(id).table().max().freq_khz;
+            cohort.dvfs_mut(0).pin_freq(id, top).unwrap();
+            solos[0].dvfs_mut(0).pin_freq(id, top).unwrap();
+        }
+        let game = FrameDemand::new(22.0e6, 6.0e6, 30.0e6).with_background(0.3e9, 0.1e9, 0.0);
+        let demands = [game, FrameDemand::default()];
+        for _ in 0..8_000 {
+            cohort.tick(0.025, &demands);
+            for (l, solo) in solos.iter_mut().enumerate() {
+                solo.tick(0.025, &demands[l..=l]);
             }
         }
-        for _ in 0..8_000 {
-            soc.tick(0.025, &demand);
-            batch.tick(0.025, &demands);
-        }
-        assert!(soc.throttler().is_throttling());
-        for l in 0..2 {
-            assert!(states_equal(&soc.state(), &batch.state(l)));
+        assert!(cohort.is_throttling(0), "the pinned lane must throttle");
+        assert!(!cohort.is_throttling(1), "the idle lane must not");
+        for (l, solo) in solos.iter().enumerate() {
+            assert_eq!(cohort.is_throttling(l), solo.is_throttling(0));
+            assert_lane_is(&cohort, l, solo, "after 200 s");
         }
     }
 
     #[test]
     fn governor_style_cap_actuation_stays_identical() {
-        // Emulate a cap-twiddling governor: every 4 ticks, move the big
-        // cluster's maxfreq cap in a deterministic pattern.
-        let cfg = SocConfig::exynos9810();
-        let mut soc = Soc::new(cfg.clone());
-        let mut batch = SocBatch::replicate(&cfg, 1).unwrap();
+        // Emulate a cap-twiddling governor on lane 0 only: every 4
+        // ticks, move the big cluster's maxfreq cap in a deterministic
+        // pattern. Lane 1 runs the stock policy beside it.
+        let configs = vec![SocConfig::exynos9810(); 2];
+        let mut cohort = SocBatch::try_from_configs(&configs).unwrap();
+        let mut solos = alone(&configs);
         let big = DomainId::new(0);
-        let table_len = soc.dvfs().domain(big).table().len();
+        let table = cohort.dvfs(0).domain(big).table().clone();
         for t in 0..800usize {
-            let demand = demand_at(t, 0);
-            batch.tick(0.025, &[demand]);
-            soc.tick(0.025, &demand);
-            if t % 4 == 3 {
-                let level = (t / 4) % table_len;
-                let khz = soc.dvfs().domain(big).table().opp(level).unwrap().freq_khz;
-                soc.dvfs_mut().set_max_freq(big, khz).unwrap();
-                batch.dvfs_mut(0).set_max_freq(big, khz).unwrap();
+            let demands = [demand_at(t, 0), demand_at(t, 1)];
+            cohort.tick(0.025, &demands);
+            for (l, solo) in solos.iter_mut().enumerate() {
+                solo.tick(0.025, &demands[l..=l]);
             }
-            assert!(states_equal(&soc.state(), &batch.state(0)), "tick {t}");
+            if t % 4 == 3 {
+                let khz = table.opp((t / 4) % table.len()).unwrap().freq_khz;
+                cohort.dvfs_mut(0).set_max_freq(big, khz).unwrap();
+                solos[0].dvfs_mut(0).set_max_freq(big, khz).unwrap();
+            }
+            for (l, solo) in solos.iter().enumerate() {
+                assert_lane_is(&cohort, l, solo, &format!("tick {t}"));
+            }
         }
     }
 
     #[test]
     fn retain_lanes_preserves_kept_state() {
-        let cfg = SocConfig::exynos9810();
-        let mut batch = SocBatch::replicate(&cfg, 4).unwrap();
-        let mut socs: Vec<Soc> = (0..4).map(|_| Soc::new(cfg.clone())).collect();
+        let configs = vec![SocConfig::exynos9810(); 4];
+        let mut cohort = SocBatch::try_from_configs(&configs).unwrap();
+        let mut solos = alone(&configs);
         let mut demands = vec![FrameDemand::default(); 4];
         for t in 0..200 {
             for (l, d) in demands.iter_mut().enumerate() {
                 *d = demand_at(t, l);
             }
-            batch.tick(0.025, &demands);
-            for (l, soc) in socs.iter_mut().enumerate() {
-                soc.tick(0.025, &demands[l]);
+            cohort.tick(0.025, &demands);
+            for (l, solo) in solos.iter_mut().enumerate() {
+                solo.tick(0.025, &demands[l..=l]);
             }
         }
-        batch.retain_lanes(&[true, false, false, true]);
-        assert_eq!(batch.width(), 2);
+        cohort.retain_lanes(&[true, false, false, true]);
+        assert_eq!(cohort.width(), 2);
         let kept = [0usize, 3];
         let mut demands = vec![FrameDemand::default(); 2];
         for t in 200..400 {
             for (slot, &lane) in kept.iter().enumerate() {
                 demands[slot] = demand_at(t, lane);
             }
-            batch.tick(0.025, &demands);
+            cohort.tick(0.025, &demands);
             for (slot, &lane) in kept.iter().enumerate() {
-                socs[lane].tick(0.025, &demands[slot]);
-                assert!(
-                    states_equal(&socs[lane].state(), &batch.state(slot)),
-                    "tick {t} kept lane {lane}"
+                solos[lane].tick(0.025, &demands[slot..=slot]);
+                assert_lane_is(
+                    &cohort,
+                    slot,
+                    &solos[lane],
+                    &format!("tick {t} kept lane {lane}"),
                 );
             }
         }

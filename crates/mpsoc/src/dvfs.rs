@@ -8,7 +8,9 @@
 //!    between the minimum allowed frequency and the set maxfreq" (§IV-A),
 //! 2. the kernel's utilisation-tracking frequency selection (the
 //!    schedutil policy) that picks the operating point *within* those
-//!    caps each scheduling period.
+//!    caps each scheduling period. The selection itself runs in the
+//!    [`crate::SocBatch`] tick kernel; the controller holds its
+//!    parameters (headroom margin, boost threshold).
 
 use crate::freq::{FreqDomain, KiloHertz, Opp, OppTable};
 use crate::platform::{DomainId, PerDomain, Platform, MAX_DOMAINS};
@@ -149,8 +151,7 @@ impl DvfsController {
         }
     }
 
-    /// The schedutil headroom multiplier used by
-    /// [`DvfsController::select_by_util`].
+    /// The schedutil headroom multiplier of the in-kernel selection.
     #[must_use]
     pub fn util_margin(&self) -> f64 {
         self.util_margin
@@ -172,53 +173,6 @@ impl DvfsController {
     pub fn set_boost_threshold(&mut self, threshold: f64) {
         self.boost_threshold = threshold.max(0.0);
     }
-
-    /// Runs one round of utilisation-tracking frequency selection, the
-    /// in-kernel policy that operates *within* the caps:
-    ///
-    /// * a domain whose utilisation reaches the boost threshold is
-    ///   slammed to the top of its allowed range (Android touch/iowait
-    ///   boosting — the over-provisioning the paper exploits),
-    /// * otherwise the target is `margin · util · f_cur`; ramp-up picks
-    ///   the slowest OPP at or above the target, while ramp-down is rate
-    ///   limited to one OPP per invocation (the stock policy holds
-    ///   frequency after bursts),
-    /// * everything is clamped to the policy caps.
-    ///
-    /// `utils` is in platform order and clamped to `[0, 1]`; missing
-    /// entries read 0.
-    pub fn select_by_util(&mut self, utils: &[f64]) {
-        let margin = self.util_margin;
-        let boost_threshold = self.boost_threshold;
-        for (i, dom) in self.domains.iter_mut().enumerate() {
-            let util = utils.get(i).copied().unwrap_or(0.0).clamp(0.0, 1.0);
-            let boost = util >= boost_threshold;
-            let cur_level = dom.current_level();
-            let level = if boost {
-                dom.table().len() - 1
-            } else {
-                let cur_hz = dom.current().freq_hz();
-                let target_hz = margin * util * cur_hz;
-                let want = ceil_level_hz(dom.table(), target_hz);
-                if want < cur_level {
-                    cur_level - 1
-                } else {
-                    want
-                }
-            };
-            // qlint::allow(PN01, reason = "level was derived from this domain's own table bounds above")
-            dom.set_level(level).expect("level from table is valid");
-        }
-    }
-}
-
-/// Lowest level whose frequency is at least `target_hz`; the top level
-/// when every OPP is below the target.
-fn ceil_level_hz(table: &OppTable, target_hz: f64) -> usize {
-    table
-        .iter()
-        .position(|o| o.freq_hz() >= target_hz)
-        .unwrap_or(table.len() - 1)
 }
 
 #[cfg(test)]
@@ -233,6 +187,31 @@ mod tests {
     }
     fn gpu() -> DomainId {
         DomainId::new(2)
+    }
+
+    /// One round of the tick kernel's utilisation-tracking selection on
+    /// a single device: each domain's level and caps as width-1 rows.
+    fn select(ctl: &mut DvfsController, utils: &[f64]) {
+        assert_eq!(utils.len(), ctl.n_domains(), "one utilisation per domain");
+        let (margin, boost) = (ctl.util_margin(), ctl.boost_threshold());
+        for (id, &util) in ctl.ids().collect::<Vec<_>>().into_iter().zip(utils) {
+            let dom = ctl.domain(id);
+            let ladder: Vec<f64> = dom.table().iter().map(Opp::freq_hz).collect();
+            let mut level = [dom.current_level()];
+            let (lo, hi) = ([dom.min_cap_level()], [dom.max_cap_level()]);
+            let mut stale = [false];
+            crate::batch::select_domain_lanes(
+                &ladder,
+                &[util],
+                &[margin],
+                &[boost],
+                &mut level,
+                &lo,
+                &hi,
+                &mut stale,
+            );
+            ctl.domain_mut(id).set_level(level[0]).unwrap();
+        }
     }
 
     #[test]
@@ -258,7 +237,7 @@ mod tests {
         // Saturated big cluster: repeated selection climbs the ladder to
         // the top.
         for _ in 0..40 {
-            ctl.select_by_util(&[1.0, 0.0, 0.0]);
+            select(&mut ctl, &[1.0, 0.0, 0.0]);
         }
         assert_eq!(ctl.current_khz(big()), 2_704_000);
         assert_eq!(
@@ -272,10 +251,10 @@ mod tests {
     fn util_selection_ramps_down_when_idle() {
         let mut ctl = DvfsController::exynos9810();
         for _ in 0..40 {
-            ctl.select_by_util(&[1.0, 1.0, 1.0]);
+            select(&mut ctl, &[1.0, 1.0, 1.0]);
         }
         for _ in 0..60 {
-            ctl.select_by_util(&[0.05, 0.05, 0.05]);
+            select(&mut ctl, &[0.05, 0.05, 0.05]);
         }
         assert_eq!(ctl.current_khz(big()), 650_000);
         assert_eq!(ctl.current_khz(gpu()), 260_000);
@@ -286,7 +265,7 @@ mod tests {
         let mut ctl = DvfsController::exynos9810();
         ctl.set_max_freq(big(), 1_170_000).unwrap();
         for _ in 0..40 {
-            ctl.select_by_util(&[1.0, 1.0, 1.0]);
+            select(&mut ctl, &[1.0, 1.0, 1.0]);
         }
         assert_eq!(ctl.current_khz(big()), 1_170_000);
     }
@@ -296,7 +275,7 @@ mod tests {
         let mut ctl = DvfsController::exynos9810();
         ctl.set_min_freq(gpu(), 455_000).unwrap();
         for _ in 0..40 {
-            ctl.select_by_util(&[0.0, 0.0, 0.0]);
+            select(&mut ctl, &[0.0, 0.0, 0.0]);
         }
         assert_eq!(ctl.current_khz(gpu()), 455_000);
     }
@@ -310,7 +289,7 @@ mod tests {
         ctl.pin_freq(big(), 858_000).unwrap();
         assert_eq!(ctl.current_khz(big()), 858_000);
         for _ in 0..10 {
-            ctl.select_by_util(&[1.0, 1.0, 1.0]);
+            select(&mut ctl, &[1.0, 1.0, 1.0]);
         }
         assert_eq!(
             ctl.current_khz(big()),
@@ -325,7 +304,7 @@ mod tests {
         ctl.pin_freq(big(), 858_000).unwrap();
         ctl.reset_caps();
         for _ in 0..40 {
-            ctl.select_by_util(&[1.0, 0.0, 0.0]);
+            select(&mut ctl, &[1.0, 0.0, 0.0]);
         }
         assert_eq!(ctl.current_khz(big()), 2_704_000);
     }
@@ -338,21 +317,21 @@ mod tests {
     }
 
     #[test]
-    fn short_util_slice_reads_zero_for_missing_domains() {
-        let mut ctl = DvfsController::exynos9810();
-        for _ in 0..40 {
-            ctl.select_by_util(&[1.0]);
-        }
-        assert_eq!(ctl.current_khz(big()), 2_704_000);
-        assert_eq!(ctl.current_khz(gpu()), 260_000);
-    }
-
-    #[test]
     fn ceil_level_hz_boundaries() {
-        let table = OppTable::exynos9810_gpu();
-        assert_eq!(ceil_level_hz(&table, 0.0), 0);
-        assert_eq!(ceil_level_hz(&table, 260.0e6), 0);
-        assert_eq!(ceil_level_hz(&table, 260.1e6), 1);
-        assert_eq!(ceil_level_hz(&table, 1e12), table.len() - 1);
+        // Ramp-up picks the first OPP at or above `margin · util · f`.
+        // With boosting off and the GPU at its 260 MHz floor the target
+        // is placed exactly on, just above and far beyond the ladder.
+        let gpu_only = |margin: f64, util: f64| {
+            let mut ctl = DvfsController::exynos9810();
+            ctl.set_boost_threshold(2.0);
+            ctl.set_util_margin(margin);
+            select(&mut ctl, &[0.0, 0.0, util]);
+            ctl.domain(gpu()).current_level()
+        };
+        let top = OppTable::exynos9810_gpu().len() - 1;
+        assert_eq!(gpu_only(1.0, 0.0), 0, "zero target");
+        assert_eq!(gpu_only(1.0, 1.0), 0, "target on the 260 MHz floor");
+        assert_eq!(gpu_only(1.0005, 1.0), 1, "target just above the floor");
+        assert_eq!(gpu_only(1.0e4, 1.0), top, "target beyond the ladder");
     }
 }

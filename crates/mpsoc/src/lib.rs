@@ -18,17 +18,19 @@
 //! * [`thermal`] — a lumped RC thermal network with per-die, board and
 //!   skin nodes and the phone's sensor layout (hot-spot sensor plus a
 //!   "virtual" whole-device sensor),
+//! * [`throttle`] — the hardware thermal clamp's trips and transition
+//!   rule,
 //! * [`perf`] — a cycle-budget frame execution model over three
 //!   platform-independent workload channels,
 //! * [`vsync`] — 60 Hz VSync with triple buffering and frame-drop
 //!   semantics,
 //! * [`dvfs`] — domain-wise DVFS control (`minfreq`/`maxfreq` caps, as a
 //!   governor in the Android application layer would set them),
-//! * [`soc`] — the assembled system-on-chip with a `tick(dt)` simulation
-//!   step,
-//! * [`batch`] — a structure-of-arrays batch of SoCs stepped in
-//!   lockstep through the same physics kernel (bit-identical to the
-//!   scalar path, lane loops vectorizable).
+//! * [`batch`] — the physics kernel: a structure-of-arrays batch of
+//!   SoCs stepped in lockstep (lane loops vectorizable, every lane
+//!   bit-identical to the same device run alone),
+//! * [`soc`] — the assembled single device with a `tick(dt)` simulation
+//!   step: a width-1 [`SocBatch`].
 //!
 //! # Example
 //!
@@ -70,8 +72,8 @@ pub use freq::{FreqDomain, KiloHertz, Opp, OppTable};
 pub use perf::{Channel, FrameDemand};
 pub use platform::{DomainId, DomainRole, DomainSpec, PerDomain, Platform, MAX_DOMAINS};
 pub use soc::{Soc, SocConfig, SocState, TickOutput};
-pub use thermal::{ThermalNetwork, DEFAULT_AMBIENT_C};
-pub use throttle::{ThrottleConfig, Throttler};
+pub use thermal::DEFAULT_AMBIENT_C;
+pub use throttle::ThrottleConfig;
 pub use vsync::VsyncPipeline;
 
 /// Result alias used across the crate.

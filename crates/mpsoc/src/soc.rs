@@ -9,19 +9,24 @@
 //! heat. The output mirrors exactly what the paper's agent can observe
 //! on the real device: frequencies, FPS, power and sensor temperatures.
 //!
+//! [`Soc`] is a width-1 [`SocBatch`]: the physics lives in one kernel,
+//! [`SocBatch::tick`], and this module only adds the single-device
+//! view over it.
+//!
 //! Which — and how many — DVFS domains exist is entirely a property of
 //! the [`Platform`] descriptor in the [`SocConfig`]; nothing in this
 //! module assumes the paper's big/LITTLE/GPU triple.
 
+use crate::batch::SocBatch;
 use crate::dvfs::DvfsController;
 use crate::freq::KiloHertz;
-use crate::perf::{self, FrameDemand};
+use crate::perf::FrameDemand;
 use crate::platform::{DomainId, PerDomain, Platform};
-use crate::power::{PowerBreakdown, PowerModel};
-use crate::thermal::{NodeId, ThermalConfig, ThermalNetwork, DEFAULT_AMBIENT_C};
-use crate::throttle::{ThrottleConfig, Throttler};
-use crate::vsync::{VsyncOutput, VsyncPipeline};
-use crate::{Error, Result};
+use crate::power::PowerBreakdown;
+use crate::thermal::{ThermalConfig, DEFAULT_AMBIENT_C};
+use crate::throttle::ThrottleConfig;
+use crate::vsync::VsyncOutput;
+use crate::Result;
 
 /// Configuration of a simulated SoC platform.
 #[derive(Debug, Clone)]
@@ -156,30 +161,11 @@ pub struct TickOutput {
     pub opps: PerDomain<crate::freq::Opp>,
 }
 
-/// Length of the rolling window behind [`SocState::fps`], seconds.
-/// Instantaneous per-tick rates quantise to multiples of the tick/VSync
-/// ratio (e.g. 40/80 FPS at 25 ms ticks); half a second of history is
-/// what Android's frame-rate instrumentation effectively reports.
-pub(crate) const FPS_WINDOW_S: f64 = 0.5;
-
-/// The simulated SoC platform.
+/// The simulated SoC platform: one device, stepped as a width-1
+/// [`SocBatch`].
 #[derive(Debug, Clone)]
 pub struct Soc {
-    platform: Platform,
-    dvfs: DvfsController,
-    power: PowerModel,
-    thermal: ThermalNetwork,
-    vsync: VsyncPipeline,
-    throttler: Throttler,
-    /// Thermal node of every domain, in platform order (cached).
-    die_nodes: PerDomain<NodeId>,
-    last_utils: PerDomain<f64>,
-    time_s: f64,
-    last_state: SocState,
-    /// Reused per-tick node-power buffer (one slot per thermal node).
-    node_power: Vec<f64>,
-    /// Rolling (dt, presented) history for the FPS window.
-    fps_history: std::collections::VecDeque<(f64, u32)>,
+    batch: SocBatch,
 }
 
 impl Soc {
@@ -199,226 +185,69 @@ impl Soc {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] when the thermal network or
-    /// refresh rate is invalid, or a domain references a thermal node
-    /// outside the network.
+    /// Returns [`crate::Error::InvalidConfig`] when the thermal network
+    /// or refresh rate is invalid, or a domain references a thermal
+    /// node outside the network.
     pub fn try_new(config: SocConfig) -> Result<Self> {
-        if !(config.refresh_hz > 0.0 && config.refresh_hz.is_finite()) {
-            return Err(Error::InvalidConfig(
-                "refresh rate must be positive".to_owned(),
-            ));
-        }
-        let platform = config.platform;
-        for d in platform.domains() {
-            if d.thermal_node >= config.thermal.nodes.len() {
-                return Err(Error::InvalidConfig(format!(
-                    "domain '{}' references thermal node {} outside the network",
-                    d.name, d.thermal_node
-                )));
-            }
-        }
-        let n = platform.n_domains();
-        let sizes = platform.freq_levels();
-        let throttler = Throttler::new(config.throttle, &sizes);
-        let dvfs = DvfsController::for_platform(&platform);
-        let power = PowerModel::for_platform(&platform);
-        let thermal = ThermalNetwork::new(config.thermal)?;
-        let vsync = VsyncPipeline::new(config.refresh_hz);
-        let die_nodes = PerDomain::from_fn(n, |i| platform.domains()[i].thermal_node);
-        let node_power = vec![0.0; thermal.n_nodes()];
-        let mut soc = Soc {
-            platform,
-            dvfs,
-            power,
-            thermal,
-            vsync,
-            throttler,
-            die_nodes,
-            last_utils: PerDomain::new(n),
-            time_s: 0.0,
-            last_state: SocState {
-                time_s: 0.0,
-                freq_khz: PerDomain::new(n),
-                freq_level: PerDomain::new(n),
-                max_cap_level: PerDomain::new(n),
-                fps: 0.0,
-                power_w: 0.0,
-                temp_domain_c: PerDomain::new(n),
-                temp_hot_c: 0.0,
-                temp_device_c: 0.0,
-                temp_battery_c: 0.0,
-                util: PerDomain::new(n),
-            },
-            node_power,
-            fps_history: std::collections::VecDeque::new(),
-        };
-        soc.refresh_state(0.0, 0.0);
-        Ok(soc)
+        Ok(Soc {
+            batch: SocBatch::try_from_configs(std::slice::from_ref(&config))?,
+        })
     }
 
     /// The platform descriptor this device runs.
     #[must_use]
     pub fn platform(&self) -> &Platform {
-        &self.platform
+        self.batch.platform()
     }
 
-    /// DVFS controller (read access).
-    #[must_use]
-    pub fn dvfs(&self) -> &DvfsController {
-        &self.dvfs
+    /// DVFS controller (read access). Takes `&mut self` because the
+    /// batch brings the controller up to date with its level mirror
+    /// before handing it out.
+    pub fn dvfs(&mut self) -> &DvfsController {
+        self.batch.dvfs(0)
     }
 
     /// DVFS controller (the governor's actuator).
     pub fn dvfs_mut(&mut self) -> &mut DvfsController {
-        &mut self.dvfs
+        self.batch.dvfs_mut(0)
     }
 
-    /// Thermal network (read access).
+    /// Whether the hardware thermal clamp holds any domain below its
+    /// top level.
     #[must_use]
-    pub fn thermal(&self) -> &ThermalNetwork {
-        &self.thermal
-    }
-
-    /// Hardware thermal throttler (read access).
-    #[must_use]
-    pub fn throttler(&self) -> &Throttler {
-        &self.throttler
+    pub fn is_throttling(&self) -> bool {
+        self.batch.is_throttling(0)
     }
 
     /// Simulated time in seconds.
     #[must_use]
     pub fn time_s(&self) -> f64 {
-        self.time_s
+        self.batch.time_s(0)
     }
 
     /// The governor-visible state after the most recent tick.
     #[must_use]
     pub fn state(&self) -> SocState {
-        self.last_state
+        self.batch.state(0)
     }
 
-    /// Die sensor temperatures per domain, in platform order.
-    fn die_temps(&self) -> PerDomain<f64> {
-        PerDomain::from_fn(self.die_nodes.len(), |i| {
-            self.thermal.node_temp_c(self.die_nodes[i])
-        })
+    /// The width-1 batch behind this device (the engine drives it as
+    /// the one-lane case of its batched loop).
+    pub fn batch_mut(&mut self) -> &mut SocBatch {
+        &mut self.batch
     }
 
-    /// Advances the platform by `dt_s` seconds of `demand`.
-    ///
-    /// Steps, in order: kernel frequency selection based on
-    /// the previous interval's utilisation, frame execution + VSync,
-    /// power integration at the resulting utilisation, thermal update.
+    /// Advances the platform by `dt_s` seconds of `demand` (see
+    /// [`SocBatch::tick`] for the pipeline).
     pub fn tick(&mut self, dt_s: f64, demand: &FrameDemand) -> TickOutput {
-        let n = self.platform.n_domains();
-        self.dvfs.select_by_util(&self.last_utils);
-        // Hardware thermal throttling overrides every software policy:
-        // clamp the effective level per domain.
-        let die_temps = self.die_temps();
-        let clamps = self.throttler.update(&die_temps);
-        for id in self.platform.ids() {
-            let i = id.index();
-            let dom = self.dvfs.domain_mut(id);
-            if dom.current_level() > clamps[i] {
-                // The hardware clamp outranks the software policy range.
-                dom.force_level(clamps[i])
-                    // qlint::allow(PN01, reason = "thermal clamps are computed from this domain's own ladder length")
-                    .expect("clamp level within table");
-            }
-        }
-        let opps = self.dvfs.current_opps();
-        let plan = perf::plan(demand, &opps, &self.platform);
-        let vout = self.vsync.tick(dt_s, plan.frame_period_s);
-        let fps = vout.fps(dt_s);
-        // The renderer runs at its natural rate until the display caps
-        // it at the refresh rate; that achieved production rate — not
-        // the presented FPS — is what loads the domains.
-        let produced_rate = plan.render_rate_hz().min(self.vsync.refresh_hz());
-        let utils = PerDomain::from_fn(n, |i| plan.utilization(DomainId::new(i), produced_rate));
-        let breakdown = self.power.evaluate(&opps, &utils, &die_temps);
-        self.node_power.fill(0.0);
-        for i in 0..n {
-            self.node_power[self.die_nodes[i]] += breakdown.domain_w[i];
-        }
-        self.node_power[self.thermal.base_power_node()] += breakdown.base_w;
-        self.thermal.step(&self.node_power, dt_s);
-
-        self.last_utils = utils;
-        self.time_s += dt_s.max(0.0);
-        let windowed_fps = self.update_fps_window(dt_s, vout.presented);
-        self.refresh_state(windowed_fps, breakdown.total_w());
-        self.last_state.util = utils;
-
-        TickOutput {
-            dt_s,
-            fps,
-            vsync: vout,
-            power: breakdown,
-            power_w: breakdown.total_w(),
-            util: utils,
-            opps,
-        }
+        self.batch.tick(dt_s, std::slice::from_ref(demand));
+        *self.batch.tick_output(0)
     }
 
-    /// Resets thermal state, VSync phase and time (frequencies and caps
-    /// are preserved).
+    /// Resets thermal state, throttle clamps, VSync phase and time
+    /// (frequencies and caps are preserved).
     pub fn reset(&mut self) {
-        self.thermal.reset();
-        self.throttler.reset();
-        self.vsync = VsyncPipeline::new(self.vsync.refresh_hz());
-        self.last_utils = PerDomain::new(self.platform.n_domains());
-        self.time_s = 0.0;
-        self.fps_history.clear();
-        self.refresh_state(0.0, 0.0);
-    }
-
-    /// Pushes one tick into the rolling FPS window and returns the
-    /// windowed rate — what [`SocState::fps`] reports.
-    fn update_fps_window(&mut self, dt_s: f64, presented: u32) -> f64 {
-        if dt_s > 0.0 {
-            self.fps_history.push_back((dt_s, presented));
-        }
-        let mut total_dt: f64 = self.fps_history.iter().map(|(d, _)| d).sum();
-        while let Some(&(front_dt, _)) = self.fps_history.front() {
-            if total_dt - front_dt >= FPS_WINDOW_S {
-                self.fps_history.pop_front();
-                total_dt -= front_dt;
-            } else {
-                break;
-            }
-        }
-        if total_dt <= 0.0 {
-            return 0.0;
-        }
-        let frames: u32 = self.fps_history.iter().map(|(_, p)| p).sum();
-        // VSync boundaries need not align with the window edge, so the
-        // raw quotient can exceed the refresh rate by a fraction of a
-        // frame; clamp to the physical maximum.
-        (f64::from(frames) / total_dt).min(self.vsync.refresh_hz())
-    }
-
-    fn refresh_state(&mut self, fps: f64, power_w: f64) {
-        let n = self.platform.n_domains();
-        let freq_khz =
-            PerDomain::from_fn(n, |i| self.dvfs.domain(DomainId::new(i)).current().freq_khz);
-        let freq_level =
-            PerDomain::from_fn(n, |i| self.dvfs.domain(DomainId::new(i)).current_level());
-        let max_cap_level =
-            PerDomain::from_fn(n, |i| self.dvfs.domain(DomainId::new(i)).max_cap_level());
-        let temp_domain_c = self.die_temps();
-        self.last_state = SocState {
-            time_s: self.time_s,
-            freq_khz,
-            freq_level,
-            max_cap_level,
-            fps,
-            power_w,
-            temp_domain_c,
-            temp_hot_c: temp_domain_c[self.platform.hot_domain().index()],
-            temp_device_c: self.thermal.device_sensor_c(&self.die_nodes),
-            temp_battery_c: self.thermal.board_c(),
-            util: self.last_utils,
-        };
+        self.batch.reset();
     }
 }
 
@@ -614,7 +443,7 @@ mod tests {
         for _ in 0..(600.0 / 0.025) as usize {
             soc.tick(0.025, &demand);
         }
-        assert!(soc.throttler().is_throttling(), "clamp should be engaged");
+        assert!(soc.is_throttling(), "clamp should be engaged");
         assert!(
             soc.state().temp_hot_c < 48.0,
             "throttle must bound the die temperature: {:.1} C",

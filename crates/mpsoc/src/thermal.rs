@@ -8,8 +8,10 @@
 //! paper's peak-temperature experiments (Figs. 3 and 8) rely on.
 //!
 //! The network is integrated with forward Euler using automatic
-//! sub-stepping chosen from the smallest node time constant, so `step`
-//! is unconditionally stable for any caller-supplied `dt`.
+//! sub-stepping chosen from the smallest node time constant, so
+//! [`step_lanes`] is unconditionally stable for any caller-supplied
+//! `dt`. The network has no state of its own: node temperatures live in
+//! the [`crate::SocBatch`] arenas (one column per device).
 //!
 //! Sensor layout follows §III-A: per-die sensors (which node carries
 //! which DVFS domain is declared by the [`crate::platform::Platform`]),
@@ -287,7 +289,8 @@ impl ThermalConfig {
 /// Largest forward-Euler step that keeps every node of `config` stable,
 /// in seconds. Stability requires `dt < C_i / ΣG_i` for every node; this
 /// returns half of the tightest bound.
-pub(crate) fn max_stable_dt(config: &ThermalConfig) -> f64 {
+#[must_use]
+pub fn max_stable_dt(config: &ThermalConfig) -> f64 {
     let mut max_stable_dt_s = f64::INFINITY;
     for (i, n) in config.nodes.iter().enumerate() {
         let mut g_sum = n.to_ambient_w_per_k;
@@ -304,21 +307,27 @@ pub(crate) fn max_stable_dt(config: &ThermalConfig) -> f64 {
 }
 
 /// The width-parameterised forward-Euler kernel: advances `width` lanes
-/// sharing one network *structure* (nodes/edges) by `dt_s` seconds.
+/// sharing one network *structure* (nodes/edges) by `dt_s` seconds,
+/// sub-stepping at `max_stable_dt_s` (see [`max_stable_dt`]) so any
+/// `dt_s ≥ 0` is stable; `dt_s ≤ 0` is a no-op.
 ///
 /// `temps_c`, `power_w` and the `flux` scratch are node-major,
 /// lane-contiguous arrays indexed `node * width + lane`; `ambient_c` has
 /// one entry per lane (ambient may differ across lanes — fleet bins).
-/// Power entries beyond the array are treated as zero, matching the
-/// scalar contract.
+/// Power entries beyond the array are treated as zero.
 ///
-/// Every lane performs exactly the floating-point operation sequence of
-/// the width-1 path, in the same order — batching is a pure interleaving
+/// Every lane performs the same floating-point operation sequence, in
+/// the same order, whatever the width — batching is a pure interleaving
 /// across lanes and is bit-invisible in the results. This is the single
-/// physics implementation behind both [`ThermalNetwork::step`] (width 1)
-/// and [`crate::batch::SocBatch`] (width N).
+/// thermal implementation behind [`crate::SocBatch`] (and so behind
+/// [`crate::Soc`], its width-1 case).
+///
+/// # Panics
+///
+/// Panics if `temps_c` or `flux` hold fewer than `nodes × width`
+/// entries, or `ambient_c` fewer than `width`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step_lanes(
+pub fn step_lanes(
     config: &ThermalConfig,
     max_stable_dt_s: f64,
     width: usize,
@@ -362,139 +371,15 @@ pub(crate) fn step_lanes(
     }
 }
 
-/// The integrable thermal network.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThermalNetwork {
-    config: ThermalConfig,
-    temps_c: Vec<f64>,
-    /// Largest forward-Euler step that keeps every node stable, seconds.
-    max_stable_dt_s: f64,
-}
-
-impl ThermalNetwork {
-    /// Builds a network with every node starting at ambient.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if the configuration is
-    /// inconsistent (no nodes, negative parameters, dangling edges, or no
-    /// path to ambient).
-    pub fn new(config: ThermalConfig) -> Result<Self> {
-        config.validate()?;
-        let temps_c = vec![config.ambient_c; config.nodes.len()];
-        let max_stable_dt_s = max_stable_dt(&config);
-        Ok(ThermalNetwork {
-            config,
-            temps_c,
-            max_stable_dt_s,
-        })
-    }
-
-    /// The preset Note 9 network (see [`ThermalConfig::exynos9810`]).
-    #[must_use]
-    pub fn exynos9810(ambient_c: f64) -> Self {
-        // qlint::allow(PN01, reason = "compiled-in preset, exercised by the thermal tests")
-        ThermalNetwork::new(ThermalConfig::exynos9810(ambient_c)).expect("preset config valid")
-    }
-
-    /// Ambient temperature in °C.
-    #[must_use]
-    pub fn ambient_c(&self) -> f64 {
-        self.config.ambient_c
-    }
-
-    /// Number of thermal nodes.
-    #[must_use]
-    pub fn n_nodes(&self) -> usize {
-        self.config.nodes.len()
-    }
-
-    /// Temperature of node `id` in °C.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a node of this network.
-    #[must_use]
-    pub fn node_temp_c(&self, id: NodeId) -> f64 {
-        self.temps_c[id]
-    }
-
-    /// All node temperatures, ordered by node id.
-    #[must_use]
-    pub fn temps_c(&self) -> &[f64] {
-        &self.temps_c
-    }
-
-    /// Advances the network by `dt_s` seconds with `power_w[i]` watts
-    /// injected into node `i`. Powers beyond the node count are ignored;
-    /// missing entries are treated as zero.
-    ///
-    /// Sub-steps internally, so any `dt_s ≥ 0` is stable. This is the
-    /// width-1 view over `step_lanes`, the shared batched kernel.
-    pub fn step(&mut self, power_w: &[f64], dt_s: f64) {
-        if dt_s <= 0.0 {
-            return;
-        }
-        let mut flux = vec![0.0f64; self.config.nodes.len()];
-        let ambient = [self.config.ambient_c];
-        step_lanes(
-            &self.config,
-            self.max_stable_dt_s,
-            1,
-            &mut self.temps_c,
-            power_w,
-            &ambient,
-            &mut flux,
-            dt_s,
-        );
-    }
-
-    /// Board/battery sensor reading, °C.
-    #[must_use]
-    pub fn board_c(&self) -> f64 {
-        self.temps_c[self.config.board_node]
-    }
-
-    /// Skin temperature, °C.
-    #[must_use]
-    pub fn skin_c(&self) -> f64 {
-        self.temps_c[self.config.skin_node]
-    }
-
-    /// Node receiving the constant platform-floor power (the board).
-    #[must_use]
-    pub fn base_power_node(&self) -> NodeId {
-        self.config.board_node
-    }
-
-    /// The virtual whole-device sensor over the given die nodes (the
-    /// platform's domain thermal nodes).
-    ///
-    /// A surrogate for the manufacturer's proprietary virtual sensor: a
-    /// weighted blend of skin, board and the hottest die node
-    /// (`0.45·skin + 0.35·board + 0.20·max(die)`), which tracks "how hot
-    /// the device feels plus how hot the silicon runs" just like vendor
-    /// skin-temperature estimators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `die_nodes` is empty or references an invalid node.
-    #[must_use]
-    pub fn device_sensor_c(&self, die_nodes: &[NodeId]) -> f64 {
-        assert!(!die_nodes.is_empty(), "device sensor needs die nodes");
-        let die_max = die_nodes
-            .iter()
-            .map(|&n| self.temps_c[n])
-            .fold(f64::MIN, f64::max);
-        0.45 * self.skin_c() + 0.35 * self.board_c() + 0.20 * die_max
-    }
-
-    /// Resets every node to ambient.
-    pub fn reset(&mut self) {
-        for t in &mut self.temps_c {
-            *t = self.config.ambient_c;
-        }
-    }
+/// The virtual whole-device sensor from the skin, board and hottest die
+/// temperatures, °C.
+///
+/// A surrogate for the manufacturer's proprietary virtual sensor: a
+/// weighted blend (`0.45·skin + 0.35·board + 0.20·max(die)`), which
+/// tracks "how hot the device feels plus how hot the silicon runs" just
+/// like vendor skin-temperature estimators.
+pub(crate) fn device_sensor_c(skin_c: f64, board_c: f64, die_max_c: f64) -> f64 {
+    0.45 * skin_c + 0.35 * board_c + 0.20 * die_max_c
 }
 
 #[cfg(test)]
@@ -503,26 +388,85 @@ mod tests {
 
     const DIE: [NodeId; 3] = [node::BIG, node::LITTLE, node::GPU];
 
+    /// One device's node temperatures stepped by [`step_lanes`] at
+    /// width 1.
+    struct Net {
+        config: ThermalConfig,
+        temps_c: Vec<f64>,
+        flux: Vec<f64>,
+        max_stable_dt_s: f64,
+    }
+
+    impl Net {
+        fn new(config: ThermalConfig) -> Result<Self> {
+            config.validate()?;
+            let n = config.nodes.len();
+            Ok(Net {
+                temps_c: vec![config.ambient_c; n],
+                flux: vec![0.0; n],
+                max_stable_dt_s: max_stable_dt(&config),
+                config,
+            })
+        }
+
+        fn exynos9810(ambient_c: f64) -> Self {
+            Net::new(ThermalConfig::exynos9810(ambient_c)).unwrap()
+        }
+
+        fn step(&mut self, power_w: &[f64], dt_s: f64) {
+            step_lanes(
+                &self.config,
+                self.max_stable_dt_s,
+                1,
+                &mut self.temps_c,
+                power_w,
+                &[self.config.ambient_c],
+                &mut self.flux,
+                dt_s,
+            );
+        }
+
+        fn node(&self, id: NodeId) -> f64 {
+            self.temps_c[id]
+        }
+
+        fn board_c(&self) -> f64 {
+            self.temps_c[self.config.board_node]
+        }
+
+        fn skin_c(&self) -> f64 {
+            self.temps_c[self.config.skin_node]
+        }
+
+        fn device_c(&self, die: &[NodeId]) -> f64 {
+            let die_max = die
+                .iter()
+                .map(|&n| self.temps_c[n])
+                .fold(f64::MIN, f64::max);
+            device_sensor_c(self.skin_c(), self.board_c(), die_max)
+        }
+    }
+
     fn powers(big: f64, little: f64, gpu: f64, board: f64) -> [f64; 5] {
         [big, little, gpu, board, 0.0]
     }
 
     #[test]
     fn starts_at_ambient() {
-        let net = ThermalNetwork::exynos9810(21.0);
-        for &t in net.temps_c() {
+        let net = Net::exynos9810(21.0);
+        for &t in &net.temps_c {
             assert!((t - 21.0).abs() < 1e-12);
         }
-        assert!((net.device_sensor_c(&DIE) - 21.0).abs() < 1e-9);
+        assert!((net.device_c(&DIE) - 21.0).abs() < 1e-9);
     }
 
     #[test]
     fn heating_raises_big_above_board_above_skin() {
-        let mut net = ThermalNetwork::exynos9810(21.0);
+        let mut net = Net::exynos9810(21.0);
         net.step(&powers(5.0, 0.4, 2.0, 0.9), 120.0);
-        let big = net.node_temp_c(node::BIG);
-        let board = net.node_temp_c(node::BOARD);
-        let skin = net.node_temp_c(node::SKIN);
+        let big = net.node(node::BIG);
+        let board = net.node(node::BOARD);
+        let skin = net.node(node::SKIN);
         assert!(big > board, "big {big} should exceed board {board}");
         assert!(board > skin, "board {board} should exceed skin {skin}");
         assert!(skin > 21.0);
@@ -532,11 +476,11 @@ mod tests {
 
     #[test]
     fn cooling_returns_to_ambient() {
-        let mut net = ThermalNetwork::exynos9810(21.0);
+        let mut net = Net::exynos9810(21.0);
         net.step(&powers(6.0, 0.5, 4.0, 0.9), 300.0);
-        assert!(net.node_temp_c(node::BIG) > 30.0);
+        assert!(net.node(node::BIG) > 30.0);
         net.step(&[0.0; 5], 5_000.0);
-        for &t in net.temps_c() {
+        for &t in &net.temps_c {
             assert!(
                 (t - 21.0).abs() < 0.5,
                 "node stuck at {t} °C after cooldown"
@@ -548,9 +492,9 @@ mod tests {
     fn steady_state_heavy_load_matches_paper_scale() {
         // Sustained gaming power: big cluster peak temps in the paper sit
         // in the 50–75 °C band at 21 °C ambient.
-        let mut net = ThermalNetwork::exynos9810(21.0);
+        let mut net = Net::exynos9810(21.0);
         net.step(&powers(5.5, 0.5, 4.0, 0.9), 1_800.0);
-        let big = net.node_temp_c(node::BIG);
+        let big = net.node(node::BIG);
         assert!(
             (45.0..90.0).contains(&big),
             "steady big temp {big} °C out of band"
@@ -559,22 +503,20 @@ mod tests {
 
     #[test]
     fn exynos9820_network_is_valid_and_behaves() {
-        let mut net =
-            ThermalNetwork::new(ThermalConfig::exynos9820(21.0)).expect("9820 preset valid");
-        assert_eq!(net.n_nodes(), 6);
+        let mut net = Net::new(ThermalConfig::exynos9820(21.0)).expect("9820 preset valid");
+        assert_eq!(net.temps_c.len(), 6);
         net.step(&[4.0, 1.5, 0.5, 3.0, 0.9, 0.0], 1_200.0);
-        let die = [0, 1, 2, 3];
-        let dev = net.device_sensor_c(&die);
-        assert!(net.node_temp_c(0) > net.board_c());
+        let dev = net.device_c(&[0, 1, 2, 3]);
+        assert!(net.node(0) > net.board_c());
         assert!(net.board_c() > net.skin_c());
-        assert!(dev > net.skin_c() * 0.99 && dev < net.node_temp_c(0));
+        assert!(dev > net.skin_c() * 0.99 && dev < net.node(0));
     }
 
     #[test]
     fn step_is_stable_for_large_dt() {
-        let mut net = ThermalNetwork::exynos9810(21.0);
+        let mut net = Net::exynos9810(21.0);
         net.step(&powers(6.5, 0.8, 4.5, 0.9), 10_000.0);
-        for &t in net.temps_c() {
+        for &t in &net.temps_c {
             assert!(t.is_finite());
             assert!((21.0..200.0).contains(&t), "temperature diverged: {t}");
         }
@@ -582,20 +524,20 @@ mod tests {
 
     #[test]
     fn zero_or_negative_dt_is_noop() {
-        let mut net = ThermalNetwork::exynos9810(21.0);
-        let before = net.temps_c().to_vec();
+        let mut net = Net::exynos9810(21.0);
+        let before = net.temps_c.clone();
         net.step(&powers(5.0, 1.0, 2.0, 1.0), 0.0);
         net.step(&powers(5.0, 1.0, 2.0, 1.0), -3.0);
-        assert_eq!(net.temps_c(), &before[..]);
+        assert_eq!(net.temps_c, before);
     }
 
     #[test]
     fn device_sensor_between_skin_and_die() {
-        let mut net = ThermalNetwork::exynos9810(21.0);
+        let mut net = Net::exynos9810(21.0);
         net.step(&powers(6.0, 0.5, 3.0, 0.9), 600.0);
-        let dev = net.device_sensor_c(&DIE);
-        let skin = net.node_temp_c(node::SKIN);
-        let big = net.node_temp_c(node::BIG);
+        let dev = net.device_c(&DIE);
+        let skin = net.node(node::SKIN);
+        let big = net.node(node::BIG);
         assert!(
             dev > skin * 0.99,
             "device sensor should not read below skin"
@@ -605,37 +547,34 @@ mod tests {
 
     #[test]
     fn ambient_change_shifts_equilibrium() {
-        let mut cold = ThermalNetwork::exynos9810(10.0);
-        let mut warm = ThermalNetwork::exynos9810(35.0);
+        let mut cold = Net::exynos9810(10.0);
+        let mut warm = Net::exynos9810(35.0);
         let p = powers(3.0, 0.5, 1.0, 0.9);
         cold.step(&p, 2_000.0);
         warm.step(&p, 2_000.0);
-        assert!(warm.node_temp_c(node::BIG) > cold.node_temp_c(node::BIG) + 20.0);
+        assert!(warm.node(node::BIG) > cold.node(node::BIG) + 20.0);
     }
 
     #[test]
     fn invalid_configs_rejected() {
         let mut cfg = ThermalConfig::exynos9810(21.0);
         cfg.nodes[0].capacitance_j_per_k = -1.0;
-        assert!(ThermalNetwork::new(cfg).is_err());
+        assert!(cfg.validate().is_err());
 
         let mut cfg = ThermalConfig::exynos9810(21.0);
         cfg.edges[0].a = 99;
-        assert!(ThermalNetwork::new(cfg).is_err());
+        assert!(cfg.validate().is_err());
 
         let mut cfg = ThermalConfig::exynos9810(21.0);
         for n in &mut cfg.nodes {
             n.to_ambient_w_per_k = 0.0;
         }
-        assert!(
-            ThermalNetwork::new(cfg).is_err(),
-            "no ambient path must be rejected"
-        );
+        assert!(cfg.validate().is_err(), "no ambient path must be rejected");
 
         let mut cfg = ThermalConfig::exynos9810(21.0);
         cfg.board_node = 17;
         assert!(
-            ThermalNetwork::new(cfg).is_err(),
+            cfg.validate().is_err(),
             "dangling board node must be rejected"
         );
 
@@ -646,16 +585,32 @@ mod tests {
             board_node: 0,
             skin_node: 0,
         };
-        assert!(ThermalNetwork::new(empty).is_err());
+        assert!(empty.validate().is_err());
     }
 
     #[test]
     fn reset_restores_ambient() {
-        let mut net = ThermalNetwork::exynos9810(21.0);
-        net.step(&powers(6.0, 1.0, 4.0, 1.0), 500.0);
-        net.reset();
-        for &t in net.temps_c() {
-            assert!((t - 21.0).abs() < 1e-12);
+        // Two devices at different ambients, heated, then reset: every
+        // node returns to its own lane's ambient.
+        let configs: Vec<_> = [10.0, 35.0]
+            .iter()
+            .map(|&a| crate::SocConfig::exynos9810().with_ambient(a))
+            .collect();
+        let mut batch = crate::SocBatch::try_from_configs(&configs).unwrap();
+        let game = crate::FrameDemand::new(22.0e6, 6.0e6, 30.0e6);
+        for _ in 0..2_000 {
+            batch.tick(0.025, &[game, game]);
+        }
+        for (lane, ambient) in [10.0, 35.0].into_iter().enumerate() {
+            assert!(batch.state(lane).temp_hot_c > ambient + 1.0, "lane {lane}");
+        }
+        batch.reset();
+        for (lane, ambient) in [10.0, 35.0].into_iter().enumerate() {
+            let s = batch.state(lane);
+            for t in s.temp_domain_c.iter().chain(&[s.temp_battery_c]) {
+                assert_eq!(*t, ambient, "lane {lane}");
+            }
+            assert!((s.temp_device_c - ambient).abs() < 1e-12);
         }
     }
 
@@ -686,11 +641,11 @@ mod tests {
             board_node: 1,
             skin_node: 1,
         };
-        let mut net = ThermalNetwork::new(cfg).unwrap();
+        let mut net = Net::new(cfg).unwrap();
         let p = 2.0; // W into node a
         let dt = 50.0;
         net.step(&[p, 0.0], dt);
-        let stored = 10.0 * (net.node_temp_c(0) - 20.0) + 20.0 * (net.node_temp_c(1) - 20.0);
+        let stored = 10.0 * (net.node(0) - 20.0) + 20.0 * (net.node(1) - 20.0);
         let injected = p * dt;
         assert!(
             (stored - injected).abs() / injected < 1e-3,

@@ -10,9 +10,11 @@
 //! The clamp composes with the DVFS policy caps: the effective level is
 //! `min(policy level, thermal clamp)`. Software governors (including
 //! Next) never see or control the clamp — exactly like on the phone,
-//! where the kernel thermal framework overrides userspace.
+//! where the kernel thermal framework overrides userspace. The clamp
+//! state lives in the [`crate::SocBatch`] arenas; this module holds the
+//! configuration and the transition rule.
 
-use crate::platform::{DomainId, PerDomain, Platform};
+use crate::platform::Platform;
 
 /// Configuration of the thermal throttler.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,8 +72,8 @@ impl Default for ThrottleConfig {
 /// one OPP above `trip_c`, relax one OPP below `trip_c − hysteresis_c`
 /// (never past `top`), hold inside the hysteresis band.
 ///
-/// The single transition rule behind both [`Throttler::update`]
-/// (width 1) and the batched kernel's per-lane throttle loop.
+/// The single transition rule behind the batched kernel's per-lane
+/// throttle loop.
 pub(crate) fn clamp_transition(
     clamp: usize,
     top: usize,
@@ -88,167 +90,115 @@ pub(crate) fn clamp_transition(
     }
 }
 
-/// Stateful per-domain thermal clamp.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Throttler {
-    config: ThrottleConfig,
-    /// Current clamp as a maximum OPP level per domain.
-    clamp_level: PerDomain<usize>,
-    /// Top level per domain (unclamped position).
-    top_level: PerDomain<usize>,
-}
-
-impl Throttler {
-    /// Creates a throttler for ladders with the given sizes (platform
-    /// order).
-    #[must_use]
-    pub fn new(config: ThrottleConfig, table_sizes: &[usize]) -> Self {
-        let top_level = PerDomain::from_fn(table_sizes.len(), |i| table_sizes[i].saturating_sub(1));
-        Throttler {
-            config,
-            clamp_level: top_level,
-            top_level,
-        }
-    }
-
-    /// The throttler's configuration.
-    #[must_use]
-    pub fn config(&self) -> &ThrottleConfig {
-        &self.config
-    }
-
-    /// Current clamp level of one domain (top level = unclamped).
-    #[must_use]
-    pub fn clamp_level(&self, id: DomainId) -> usize {
-        self.clamp_level[id.index()]
-    }
-
-    /// Whether any domain is currently clamped below its top level.
-    #[must_use]
-    pub fn is_throttling(&self) -> bool {
-        self.config.enabled && self.clamp_level != self.top_level
-    }
-
-    /// Advances the throttle state one control interval with the
-    /// current die temperatures (°C, platform order) and returns the
-    /// clamp levels.
-    pub fn update(&mut self, die_temps_c: &[f64]) -> PerDomain<usize> {
-        if !self.config.enabled {
-            return self.top_level;
-        }
-        for (i, &temp) in die_temps_c.iter().enumerate().take(self.clamp_level.len()) {
-            let trip = self.config.trip_c.get(i).copied().unwrap_or(f64::INFINITY);
-            self.clamp_level[i] = clamp_transition(
-                self.clamp_level[i],
-                self.top_level[i],
-                trip,
-                self.config.hysteresis_c,
-                temp,
-            );
-        }
-        self.clamp_level
-    }
-
-    /// Resets all clamps to unthrottled.
-    pub fn reset(&mut self) {
-        self.clamp_level = self.top_level;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::FrameDemand;
+    use crate::{DomainId, Soc, SocConfig};
 
-    fn big() -> DomainId {
-        DomainId::new(0)
-    }
-    fn little() -> DomainId {
-        DomainId::new(1)
-    }
-    fn gpu() -> DomainId {
-        DomainId::new(2)
+    const TOP: [usize; 3] = [17, 9, 5];
+
+    /// One interval of domain `d` of the Exynos 9810 trips at `temp_c`.
+    fn step(clamp: usize, d: usize, temp_c: f64) -> usize {
+        let cfg = ThrottleConfig::exynos9810();
+        clamp_transition(clamp, TOP[d], cfg.trip_c[d], cfg.hysteresis_c, temp_c)
     }
 
-    fn throttler() -> Throttler {
-        Throttler::new(ThrottleConfig::exynos9810(), &[18, 10, 6])
+    /// A heavy game on every domain's top OPP for `seconds`.
+    fn pinned_heavy(throttle: ThrottleConfig, seconds: f64) -> Soc {
+        let mut cfg = SocConfig::exynos9810();
+        cfg.throttle = throttle;
+        let mut soc = Soc::new(cfg);
+        for d in 0..3 {
+            let id = DomainId::new(d);
+            let top = soc.dvfs().domain(id).table().max().freq_khz;
+            soc.dvfs_mut().pin_freq(id, top).unwrap();
+        }
+        let game = FrameDemand::new(22.0e6, 6.0e6, 30.0e6).with_background(0.3e9, 0.1e9, 0.0);
+        for _ in 0..(seconds / 0.025) as usize {
+            soc.tick(0.025, &game);
+        }
+        soc
+    }
+
+    fn low_trips() -> ThrottleConfig {
+        ThrottleConfig {
+            enabled: true,
+            trip_c: vec![40.0, 40.0, 40.0],
+            hysteresis_c: 3.0,
+        }
     }
 
     #[test]
     fn starts_unclamped() {
-        let t = throttler();
-        assert!(!t.is_throttling());
-        assert_eq!(t.clamp_level(big()), 17);
-        assert_eq!(t.clamp_level(gpu()), 5);
+        let soc = Soc::new(SocConfig::exynos9810());
+        assert!(!soc.is_throttling());
+        assert_eq!(step(TOP[0], 0, 30.0), 17, "cool die holds the top level");
     }
 
     #[test]
     fn hot_sensor_steps_clamp_down() {
-        let mut t = throttler();
-        t.update(&[80.0, 30.0, 30.0]);
-        assert_eq!(t.clamp_level(big()), 16);
-        assert_eq!(t.clamp_level(little()), 9, "cool domains untouched");
-        assert!(t.is_throttling());
-        for _ in 0..40 {
-            t.update(&[80.0, 30.0, 30.0]);
+        assert_eq!(step(17, 0, 80.0), 16);
+        assert_eq!(step(9, 1, 30.0), 9, "cool domains untouched");
+        let mut clamp = 17;
+        for _ in 0..41 {
+            clamp = step(clamp, 0, 80.0);
         }
-        assert_eq!(t.clamp_level(big()), 0, "clamp saturates at the floor");
+        assert_eq!(clamp, 0, "clamp saturates at the floor");
     }
 
     #[test]
     fn hysteresis_gates_recovery() {
-        let mut t = throttler();
+        let mut clamp = 17;
         for _ in 0..3 {
-            t.update(&[80.0, 30.0, 30.0]);
+            clamp = step(clamp, 0, 80.0);
         }
-        assert_eq!(t.clamp_level(big()), 14);
+        assert_eq!(clamp, 14);
         // Inside the hysteresis band: hold.
-        t.update(&[72.0, 30.0, 30.0]);
-        assert_eq!(t.clamp_level(big()), 14);
+        clamp = step(clamp, 0, 72.0);
+        assert_eq!(clamp, 14);
         // Below trip − hysteresis: relax one per interval.
-        t.update(&[69.0, 30.0, 30.0]);
-        assert_eq!(t.clamp_level(big()), 15);
+        clamp = step(clamp, 0, 69.0);
+        assert_eq!(clamp, 15);
         for _ in 0..10 {
-            t.update(&[60.0, 30.0, 30.0]);
+            clamp = step(clamp, 0, 60.0);
         }
-        assert!(!t.is_throttling());
+        assert_eq!(clamp, 17, "relaxation stops at the top level");
     }
 
     #[test]
     fn disabled_config_never_clamps() {
-        let mut t = Throttler::new(ThrottleConfig::disabled(), &[18, 10, 6]);
-        for _ in 0..10 {
-            t.update(&[500.0, 500.0, 500.0]);
-        }
-        assert!(!t.is_throttling());
-        assert_eq!(t.clamp_level(big()), 17);
+        // Ten minutes at the top OPPs take the die well past the 40 °C
+        // trips that clamp `reset_unclamps`' device.
+        let soc = pinned_heavy(ThrottleConfig::disabled(), 600.0);
+        assert!(soc.state().temp_hot_c > 45.0, "the die must run hot");
+        assert!(!soc.is_throttling());
+        assert_eq!(soc.state().freq_level[0], 17);
     }
 
     #[test]
     fn gpu_trips_earlier_than_cpu() {
-        let mut t = throttler();
-        t.update(&[73.0, 73.0, 73.0]);
-        assert_eq!(t.clamp_level(big()), 17, "73 C below CPU trip");
-        assert_eq!(t.clamp_level(gpu()), 4, "73 C above GPU trip");
+        assert_eq!(step(17, 0, 73.0), 17, "73 C below CPU trip");
+        assert_eq!(step(5, 2, 73.0), 4, "73 C above GPU trip");
     }
 
     #[test]
     fn four_domain_platform_throttles_every_domain() {
         let platform = Platform::exynos9820();
-        let sizes = platform.freq_levels();
-        let mut t = Throttler::new(ThrottleConfig::for_platform(&platform), &sizes);
-        t.update(&[90.0, 90.0, 90.0, 90.0]);
-        for (i, &len) in sizes.iter().enumerate() {
-            assert_eq!(t.clamp_level(DomainId::new(i)), len - 2, "domain {i}");
+        let cfg = ThrottleConfig::for_platform(&platform);
+        assert_eq!(cfg.trip_c.len(), 4);
+        for (i, &len) in platform.freq_levels().iter().enumerate() {
+            let top = len - 1;
+            let clamp = clamp_transition(top, top, cfg.trip_c[i], cfg.hysteresis_c, 90.0);
+            assert_eq!(clamp, len - 2, "domain {i}");
         }
-        assert!(t.is_throttling());
     }
 
     #[test]
     fn reset_unclamps() {
-        let mut t = throttler();
-        t.update(&[90.0, 90.0, 90.0]);
-        assert!(t.is_throttling());
-        t.reset();
-        assert!(!t.is_throttling());
+        let mut soc = pinned_heavy(low_trips(), 120.0);
+        assert!(soc.is_throttling());
+        soc.reset();
+        assert!(!soc.is_throttling());
     }
 }

@@ -5,10 +5,32 @@ use proptest::prelude::*;
 use mpsoc::freq::OppTable;
 use mpsoc::perf::{self, FrameDemand};
 use mpsoc::platform::{DomainId, Platform};
-use mpsoc::power::PowerModel;
-use mpsoc::thermal::ThermalNetwork;
+use mpsoc::thermal::{self, ThermalConfig};
 use mpsoc::vsync::VsyncPipeline;
 use mpsoc::{Soc, SocConfig};
+
+/// The Exynos 9810 network at 21 °C after `steps` steps of `dt_s` with
+/// `power_w` injected, through the batched kernel at width 1.
+fn heated_9810(power_w: &[f64], dt_s: f64, steps: usize) -> Vec<f64> {
+    let config = ThermalConfig::exynos9810(21.0);
+    let n = config.nodes.len();
+    let mut temps = vec![21.0; n];
+    let mut flux = vec![0.0; n];
+    let max_dt = thermal::max_stable_dt(&config);
+    for _ in 0..steps {
+        thermal::step_lanes(
+            &config,
+            max_dt,
+            1,
+            &mut temps,
+            power_w,
+            &[21.0],
+            &mut flux,
+            dt_s,
+        );
+    }
+    temps
+}
 
 proptest! {
     /// The thermal network never cools below ambient and never
@@ -22,11 +44,7 @@ proptest! {
         dt in 0.001..50.0f64,
         steps in 1usize..60,
     ) {
-        let mut net = ThermalNetwork::exynos9810(21.0);
-        for _ in 0..steps {
-            net.step(&[p_big, p_little, p_gpu, p_board, 0.0], dt);
-        }
-        for &t in net.temps_c() {
+        for t in heated_9810(&[p_big, p_little, p_gpu, p_board, 0.0], dt, steps) {
             prop_assert!(t.is_finite());
             prop_assert!(t >= 21.0 - 1e-9, "node below ambient: {t}");
             prop_assert!(t < 500.0, "node diverged: {t}");
@@ -36,11 +54,9 @@ proptest! {
     /// Monotonicity: strictly more heat never yields a cooler hot spot.
     #[test]
     fn thermal_monotone_in_power(p in 0.0..6.0f64, extra in 0.1..4.0f64) {
-        let mut a = ThermalNetwork::exynos9810(21.0);
-        let mut b = ThermalNetwork::exynos9810(21.0);
-        a.step(&[p, 0.3, 0.5, 0.9, 0.0], 300.0);
-        b.step(&[p + extra, 0.3, 0.5, 0.9, 0.0], 300.0);
-        prop_assert!(b.node_temp_c(0) > a.node_temp_c(0));
+        let a = heated_9810(&[p, 0.3, 0.5, 0.9, 0.0], 300.0, 1);
+        let b = heated_9810(&[p + extra, 0.3, 0.5, 0.9, 0.0], 300.0, 1);
+        prop_assert!(b[0] > a[0]);
     }
 
     /// VSync accounting always balances and never exceeds the refresh
@@ -96,7 +112,8 @@ proptest! {
         }
     }
 
-    /// Power evaluation is finite, non-negative and monotone in util.
+    /// Every domain's power is finite, non-negative and monotone in
+    /// util.
     #[test]
     fn power_model_sane(
         level_big in 0usize..18,
@@ -105,16 +122,15 @@ proptest! {
         u in 0.0..1.0f64,
         t in -20.0..120.0f64,
     ) {
-        let model = PowerModel::exynos9810();
-        let opps = [
-            OppTable::exynos9810_big().opp(level_big).unwrap(),
-            OppTable::exynos9810_little().opp(level_little).unwrap(),
-            OppTable::exynos9810_gpu().opp(level_gpu).unwrap(),
-        ];
-        let lo = model.evaluate(&opps, &[u * 0.5; 3], &[t; 3]);
-        let hi = model.evaluate(&opps, &[u; 3], &[t; 3]);
-        prop_assert!(lo.total_w().is_finite() && lo.total_w() >= 0.0);
-        prop_assert!(hi.total_w() >= lo.total_w() - 1e-12);
+        let platform = Platform::exynos9810();
+        let levels = [level_big, level_little, level_gpu];
+        for (d, level) in platform.domains().iter().zip(levels) {
+            let opp = d.table.opp(level).unwrap();
+            let lo = d.power.total_w(opp, u * 0.5, t);
+            let hi = d.power.total_w(opp, u, t);
+            prop_assert!(lo.is_finite() && lo >= 0.0);
+            prop_assert!(hi >= lo - 1e-12);
+        }
     }
 
     /// Cap navigation never leaves the table and caps stay ordered,

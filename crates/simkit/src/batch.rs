@@ -1,20 +1,19 @@
 //! Batched engine entry point: N devices' sessions in lockstep.
 //!
-//! [`Engine::run_lanes_into`] is the multi-device counterpart of
-//! [`Engine::run_into`]: every 25 ms base tick advances all lanes'
-//! sessions, steps the whole [`SocBatch`] through the
-//! structure-of-arrays physics kernel, and then runs each lane's
-//! governor hooks (`observe` at tick rate, `control` at the governor's
-//! own cadence) against that lane's state and DVFS controller.
+//! [`Engine::run_lanes_traced`] is the engine's one tick loop: every
+//! 25 ms base tick advances all lanes' sessions, steps the whole
+//! [`SocBatch`] through the structure-of-arrays physics kernel, and then
+//! runs each lane's governor hooks (`observe` at tick rate, `control` at
+//! the governor's own cadence) against that lane's state and DVFS
+//! controller. [`Engine::run_into`] and friends are its one-lane case.
 //!
 //! Per lane, the sequence of session, physics, and governor operations
-//! is **exactly** the one `run_into` performs for a single device —
-//! batching only interleaves independent lanes — so traces, learned
-//! Q-tables, and summaries are bit-identical to running the lanes one
-//! at a time. The fleet trainer and the day runner drive this path for
-//! their fan-outs and fall back to lane-sequential scalar runs only
-//! where lanes genuinely diverge (different budgets or episode
-//! chunking).
+//! is **exactly** the one that lane performs run alone — batching only
+//! interleaves independent lanes — so traces, learned Q-tables, and
+//! summaries are bit-identical to running the lanes one at a time. The
+//! fleet trainer and the day runner drive this path for their fan-outs
+//! and fall back to lane-sequential single-device runs only where lanes
+//! genuinely diverge (different budgets or episode chunking).
 //!
 //! # Example
 //!
@@ -98,8 +97,8 @@ impl Engine {
     }
 
     /// Like [`Engine::run_lanes_into`], with one [`TraceSink`] per lane
-    /// observing that lane's ticks (the per-device counterpart of
-    /// [`Engine::run_into_traced`]).
+    /// observing that lane's ticks. This is the engine's only tick loop;
+    /// [`Engine::run_into_traced`] is its one-lane case.
     ///
     /// # Panics
     ///
@@ -191,8 +190,8 @@ mod tests {
             .collect()
     }
 
-    /// Lockstep lanes under different governors must reproduce the
-    /// scalar engine bit for bit, lane by lane.
+    /// Lockstep lanes under different governors must reproduce each
+    /// device run alone (a width-1 batch) bit for bit, lane by lane.
     #[test]
     fn batched_run_matches_scalar_runs_per_lane() {
         let engine = Engine::new();
@@ -200,7 +199,7 @@ mod tests {
         let config = SocConfig::exynos9810();
         let plan = SessionPlan::paper_fig1();
 
-        let scalar: Vec<RunOutcome> = names
+        let alone: Vec<RunOutcome> = names
             .iter()
             .map(|name| {
                 let mut soc = Soc::new(config.clone());
@@ -226,17 +225,18 @@ mod tests {
         let mut outcomes = outcome_buf(names.len());
         engine.run_lanes_into(&mut batch, &mut lanes, 30.0, &mut outcomes);
         for (l, name) in names.iter().enumerate() {
-            assert_eq!(outcomes[l], scalar[l], "lane {l} ({name}) diverged");
+            assert_eq!(outcomes[l], alone[l], "lane {l} ({name}) diverged");
         }
     }
 
-    /// Different per-lane seeds (distinct users on identical hardware).
+    /// Different per-lane seeds (distinct users on identical hardware):
+    /// each lane matches its user run alone.
     #[test]
     fn per_lane_seeds_stay_independent() {
         let engine = Engine::new();
         let config = SocConfig::exynos9820();
         let seeds = [1u64, 2, 3];
-        let scalar: Vec<RunOutcome> = seeds
+        let alone: Vec<RunOutcome> = seeds
             .iter()
             .map(|&seed| {
                 let mut soc = Soc::new(config.clone());
@@ -265,7 +265,7 @@ mod tests {
         let mut outcomes = outcome_buf(seeds.len());
         engine.run_lanes_into(&mut batch, &mut lanes, 20.0, &mut outcomes);
         for l in 0..seeds.len() {
-            assert_eq!(outcomes[l], scalar[l], "lane {l} diverged");
+            assert_eq!(outcomes[l], alone[l], "lane {l} diverged");
         }
         assert_ne!(outcomes[0], outcomes[1], "seeds must differ");
     }

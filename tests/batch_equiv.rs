@@ -1,17 +1,20 @@
-//! Property-based equivalence of the batched structure-of-arrays tick
-//! kernel: for any cohort of 1–32 device lanes mixing both platform
-//! presets, random baseline governors and random sessions, stepping the
-//! lanes in lockstep through [`SocBatch`] must be bit-identical — per
-//! lane — to running each device alone through the scalar engine.
+//! Property-based lane independence of the batched structure-of-arrays
+//! tick kernel: for any cohort of 1–32 device lanes mixing both
+//! platform presets, ambient and base-power bins, random baseline
+//! governors and random sessions, lane `l` of the lockstep cohort must
+//! be bit-identical to the same device run alone as a width-1
+//! [`SocBatch`].
 //!
-//! This is the contract that makes batching safe to wire underneath
-//! the fleet trainer and the day runner: it is an *optimization*, never
-//! an approximation.
+//! There is one physics kernel, so a single device is a width-1 batch
+//! by construction; what this pins is that a lane never observes its
+//! neighbours. That is the contract that makes batching safe to wire
+//! underneath the fleet trainer and the day runner: it is an
+//! *optimization*, never an approximation.
 
 use proptest::prelude::*;
 
 use next_mpsoc::governors::by_name;
-use next_mpsoc::mpsoc::soc::Soc;
+use next_mpsoc::mpsoc::soc::{Soc, SocConfig};
 use next_mpsoc::mpsoc::SocBatch;
 use next_mpsoc::simkit::{BatchLane, Engine, PlatformPreset, RunOutcome, Trace};
 use next_mpsoc::workload::{SessionPlan, SessionSim};
@@ -26,8 +29,22 @@ const GOVERNORS: [&str; 5] = [
 ];
 const APPS: [&str; 3] = ["facebook", "youtube", "spotify"];
 
-/// One generated lane: platform, governor, app, session seed.
-type LaneSpec = (usize, usize, usize, u64);
+/// Per-lane device bins (ambient °C, base-power scale): lanes of one
+/// batch may differ in these.
+const BINS: [(f64, f64); 3] = [(21.0, 1.0), (30.0, 1.15), (15.0, 0.9)];
+
+/// One generated lane: platform, governor, app, session seed, bin.
+type LaneSpec = (usize, usize, usize, u64, usize);
+
+fn lane_config(platform: &str, bin: usize) -> SocConfig {
+    let (ambient, scale) = BINS[bin];
+    let mut cfg = PlatformPreset::by_name(platform)
+        .unwrap()
+        .soc
+        .with_ambient(ambient);
+    cfg.platform.scale_base_power(scale);
+    cfg
+}
 
 fn empty_outcomes(n: usize) -> Vec<RunOutcome> {
     (0..n)
@@ -41,13 +58,13 @@ fn empty_outcomes(n: usize) -> Vec<RunOutcome> {
 
 proptest! {
     /// Mixed-platform cohorts: lanes are grouped per platform (a batch
-    /// shares one physics structure), each group is run batched, and
-    /// every lane must match its scalar device in trace, summary and
-    /// final observable state.
+    /// shares one physics structure), each group runs as one
+    /// heterogeneous batch, and every lane must match its device run
+    /// alone as a width-1 batch in trace, summary and final state.
     #[test]
     fn batched_cohort_matches_scalar_per_lane(
         lanes in proptest::collection::vec(
-            (0usize..2, 0usize..5, 0usize..3, 0u64..10_000),
+            (0usize..2, 0usize..5, 0usize..3, 0u64..10_000, 0usize..3),
             1..33,
         )
     ) {
@@ -59,39 +76,43 @@ proptest! {
             if group.is_empty() {
                 continue;
             }
-            let config = PlatformPreset::by_name(platform).unwrap().soc;
-
-            // Reference: each device alone on the scalar engine.
-            let mut scalar_states = Vec::with_capacity(group.len());
-            let scalar: Vec<RunOutcome> = group
+            let configs: Vec<SocConfig> = group
                 .iter()
-                .map(|&&(_, gi, ai, seed)| {
-                    let mut soc = Soc::new(config.clone());
+                .map(|&&(_, _, _, _, bin)| lane_config(platform, bin))
+                .collect();
+
+            // Reference: each device alone, as a width-1 batch.
+            let mut alone_states = Vec::with_capacity(group.len());
+            let alone: Vec<RunOutcome> = group
+                .iter()
+                .zip(&configs)
+                .map(|(&&(_, gi, ai, seed, _), config)| {
+                    let mut solo = SocBatch::replicate(config, 1).unwrap();
                     let mut gov = by_name(GOVERNORS[gi]).unwrap();
                     let mut session = SessionSim::new(
                         SessionPlan::single(APPS[ai], duration_s),
                         seed,
                     );
-                    let out = engine.run(
-                        &mut soc,
-                        gov.as_mut(),
-                        &mut session,
-                        duration_s,
-                    );
-                    scalar_states.push(soc.state());
-                    out
+                    let mut lane = [BatchLane {
+                        governor: gov.as_mut(),
+                        session: &mut session,
+                    }];
+                    let mut out = empty_outcomes(1);
+                    engine.run_lanes_into(&mut solo, &mut lane, duration_s, &mut out);
+                    alone_states.push(solo.state(0));
+                    out.remove(0)
                 })
                 .collect();
 
-            // The same cohort in lockstep on the batched kernel.
-            let mut batch = SocBatch::replicate(&config, group.len()).unwrap();
+            // The same devices as one heterogeneous lockstep cohort.
+            let mut batch = SocBatch::try_from_configs(&configs).unwrap();
             let mut governors: Vec<_> = group
                 .iter()
-                .map(|&&(_, gi, _, _)| by_name(GOVERNORS[gi]).unwrap())
+                .map(|&&(_, gi, _, _, _)| by_name(GOVERNORS[gi]).unwrap())
                 .collect();
             let mut sessions: Vec<_> = group
                 .iter()
-                .map(|&&(_, _, ai, seed)| {
+                .map(|&&(_, _, ai, seed, _)| {
                     SessionSim::new(SessionPlan::single(APPS[ai], duration_s), seed)
                 })
                 .collect();
@@ -109,7 +130,7 @@ proptest! {
             for (l, spec) in group.iter().enumerate() {
                 prop_assert_eq!(
                     &outcomes[l],
-                    &scalar[l],
+                    &alone[l],
                     "lane {} ({:?}) trace diverged on {}",
                     l,
                     spec,
@@ -117,13 +138,13 @@ proptest! {
                 );
                 prop_assert_eq!(
                     outcomes[l].trace.summary(),
-                    scalar[l].trace.summary(),
+                    alone[l].trace.summary(),
                     "lane {} summary diverged on {}",
                     l,
                     platform
                 );
                 prop_assert!(
-                    batch.state(l) == scalar_states[l],
+                    batch.state(l) == alone_states[l],
                     "lane {} final SocState diverged on {}",
                     l,
                     platform
@@ -132,8 +153,9 @@ proptest! {
         }
     }
 
-    /// A width-1 batch *is* the scalar device: the single-lane view of
-    /// the kernel never observably differs from `Soc`.
+    /// `Soc` and `Engine::run` are the width-1 case of the batch and its
+    /// lane loop: the façade never observably differs from driving a
+    /// width-1 `SocBatch` through `run_lanes_into`.
     #[test]
     fn width_one_batch_is_the_scalar_device(
         pi in 0usize..2,
@@ -149,7 +171,7 @@ proptest! {
         let mut gov = by_name(GOVERNORS[gi]).unwrap();
         let mut session =
             SessionSim::new(SessionPlan::single(APPS[ai], duration_s), seed);
-        let scalar = engine.run(&mut soc, gov.as_mut(), &mut session, duration_s);
+        let single = engine.run(&mut soc, gov.as_mut(), &mut session, duration_s);
 
         let mut batch = SocBatch::replicate(&config, 1).unwrap();
         let mut gov = by_name(GOVERNORS[gi]).unwrap();
@@ -162,7 +184,7 @@ proptest! {
         let mut outcomes = empty_outcomes(1);
         engine.run_lanes_into(&mut batch, &mut lanes, duration_s, &mut outcomes);
 
-        prop_assert_eq!(&outcomes[0], &scalar);
+        prop_assert_eq!(&outcomes[0], &single);
         prop_assert!(batch.state(0) == soc.state(), "final state diverged");
     }
 }
