@@ -622,6 +622,9 @@ mod tests {
             let n = doc.len();
             for k in 0..50 {
                 let (a, b, c) = (a + 7_919 * k, b + 104_729 * k, c + 1_299_709 * k);
+                // One nesting per case deep enough to overflow any stack
+                // without the depth limit, the rest around it.
+                let depth = if k == 0 { 100_000 + a % 100_000 } else { a % 5_000 };
                 let mutated: Vec<u8> = match op {
                     0 => {
                         let mut m = doc.clone();
@@ -639,14 +642,14 @@ mod tests {
                     }
                     _ => {
                         let open: &[u8] = if b % 2 == 0 { b"[" } else { b"{\"k\":" };
-                        let mut m = open.repeat(a % 5_000);
+                        let mut m = open.repeat(depth);
                         m.extend_from_slice(&doc[..c % (n + 1)]);
                         m
                     }
                 };
                 let text = String::from_utf8_lossy(&mutated);
                 let parsed = Json::parse(&text);
-                if op == 3 && a % 5_000 > MAX_DEPTH {
+                if op == 3 && depth > MAX_DEPTH {
                     proptest::prop_assert!(parsed.is_err());
                 }
             }

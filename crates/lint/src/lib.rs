@@ -2,7 +2,7 @@
 //! workspace.
 //!
 //! Everything the reproduction ships — fixture byte-identity,
-//! scalar/batch equivalence, worker-count invariance, record/replay,
+//! batch lane independence, worker-count invariance, record/replay,
 //! kill/resume (ARCHITECTURE.md invariants 1–5) — rests on
 //! source-level rules: no wall-clock or OS entropy in simulation
 //! paths, fixed accumulation order, no unordered iteration where

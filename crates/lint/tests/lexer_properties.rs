@@ -35,8 +35,8 @@ fn check(src: &str) {
 
 #[test]
 fn escaped_multibyte_char_literal_lexes() {
-    // A backslash before a multi-byte character used to leave the
-    // cursor inside it.
+    // The escaped character after a backslash is stepped over whole,
+    // whatever its UTF-8 width, so the cursor never lands inside it.
     for src in ["'\\é'", "'\\é", "b'\\日'", "'\\🦀' x", "'\\"] {
         check(src);
     }

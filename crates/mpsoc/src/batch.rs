@@ -378,9 +378,9 @@ impl SocBatch {
     }
 
     /// DVFS controller of one lane — the governor's actuator, applied
-    /// between ticks. The controller is brought up to date with the level mirror before it
-    /// is handed out, and the lane is marked for a mirror re-read when
-    /// the next tick starts.
+    /// between ticks. The controller is brought up to date with the
+    /// level mirror before it is handed out, and the lane is marked for
+    /// a mirror re-read when the next tick starts.
     pub fn dvfs_mut(&mut self, lane: usize) -> &mut DvfsController {
         self.flush_lane_ctl(lane);
         self.dvfs_dirty[lane] = true;
@@ -563,8 +563,8 @@ impl SocBatch {
 
         // 1. In-kernel utilisation-tracking selection, domain-outer over
         //    the SoA mirrors (each `domain × lane` choice is
-        //    independent). Writes land in the mirror only; stale controllers are
-        //    caught up on handout (`flush_lane_ctl`).
+        //    independent). Writes land in the mirror only; stale
+        //    controllers are caught up on handout (`flush_lane_ctl`).
         for (d, ladder) in self.hz_ladder.iter().enumerate() {
             let base = d * w;
             select_domain_lanes(
@@ -618,6 +618,9 @@ impl SocBatch {
             let plan = perf::plan(demand, &opps, &self.platform);
             let vout = self.vsync[l].tick(dt_s, plan.frame_period_s);
             let fps = vout.fps(dt_s);
+            // The renderer runs at its natural rate until the display
+            // caps it at the refresh rate; that achieved production
+            // rate — not the presented FPS — is what loads the domains.
             let produced_rate = plan.render_rate_hz().min(self.refresh_hz);
             let util = PerDomain::from_fn(n, |i| plan.utilization(DomainId::new(i), produced_rate));
             for d in 0..n {

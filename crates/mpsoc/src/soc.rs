@@ -190,7 +190,7 @@ impl Soc {
     /// node outside the network.
     pub fn try_new(config: SocConfig) -> Result<Self> {
         Ok(Soc {
-            batch: SocBatch::try_from_configs(std::slice::from_ref(&config))?,
+            batch: SocBatch::try_from_configs(&[config])?,
         })
     }
 

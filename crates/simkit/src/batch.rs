@@ -124,6 +124,8 @@ impl Engine {
             outcome.repeated_vsyncs = 0;
             #[allow(clippy::cast_possible_truncation)]
             outcome.trace.reserve(ticks as usize);
+            // Per-domain governors (Int. QoS PM, Next) resolve their
+            // domain references against the platform here.
             lane.governor.bind(batch.platform());
             control_every.push(self.control_every_ticks(lane.governor.period_s()));
         }

@@ -29,7 +29,9 @@ fn pubg_sweep_reports() -> String {
         let preset = PlatformPreset::by_name(name).expect("shipped preset");
         let evaluator = StandardEvaluator::prepare_on(&cells, 60.0, 2, preset);
         let rows = sweep::run_cells(&cells, 2, |cell| evaluator.eval(cell));
-        out.push_str(&format!("## {name}\n"));
+        out.push_str("## ");
+        out.push_str(name);
+        out.push('\n');
         out.push_str(&sweep::report(&rows));
     }
     out
