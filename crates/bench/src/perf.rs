@@ -1148,7 +1148,7 @@ fn baseline_metric(baseline: &Json, metric: &'static str) -> Result<f64, GateErr
 /// them (`1.57`, `0.600`), so a sub-unit rate never rounds to `1` or
 /// `0`.
 fn sig3(x: f64) -> String {
-    let magnitude = if x == 0.0 || !x.is_finite() {
+    let magnitude = if x == 0.0 {
         0
     } else {
         #[allow(clippy::cast_possible_truncation)]

@@ -1,5 +1,6 @@
-//! Byte-level pins on the physics, captured before the scalar tick was
-//! folded into the batched kernel.
+//! Byte-level pins on the physics. The fixtures were captured from the
+//! scalar reference implementation before it was deleted, so they hold
+//! the one remaining kernel to its bytes.
 //!
 //! 1. The sweep report for a game (`pubg`) under every sweep governor
 //!    on both platform presets — a grid the facebook/spotify fixture of
