@@ -15,6 +15,7 @@ pub mod fleet;
 pub mod json;
 pub mod perf;
 pub mod report;
+pub mod stopwatch;
 
 use next_core::{NextAgent, NextConfig};
 use simkit::experiment::{train_next_for_app, TrainOutcome};

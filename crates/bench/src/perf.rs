@@ -1,28 +1,36 @@
 //! The machine-readable performance harness behind `next-sim perf`.
 //!
 //! Runs a fixed governor×app×seed grid through the parallel sweep
-//! engine with per-cell wall-clock timing, microbenches the Q-table
-//! storage backends (hash vs dense-indexed) on a fully-populated
-//! synthetic table, and emits everything as a `BENCH.json` artifact —
-//! the document the CI `perf-smoke` job gates on and the repo's
-//! `BENCH_*.json` trajectory entries consume.
+//! engine, probes the batched tick kernel, the campaign runner, the
+//! Q-table storage backends, the federated merge, the copy-on-write
+//! overlay and the per-call hot paths of every substrate, and emits
+//! everything as a `BENCH.json` artifact — the document the CI
+//! `perf-smoke` job gates on and the repo's `BENCH_*.json` trajectory
+//! entries consume.
 //!
+//! Every repeatable measurement goes through [`crate::stopwatch::sample`]:
+//! each timed figure is a median over at least five rounds, written
+//! with an `_iqr` sibling that holds its interquartile range.
 //! Everything in the artifact except wall-clock readings is
 //! deterministic: the grid, tick counts and summaries are pure
 //! functions of the config, so two runs differ only in their `*_s`,
-//! `*_ns` and `*_per_sec` fields.
+//! `*_ns`, `*_per_sec`, `*_iqr` and speedup fields.
 
-use std::time::Instant;
+use std::cell::RefCell;
+use std::hint::black_box;
+use std::sync::Arc;
 
 use mpsoc::perf::FrameDemand;
-use mpsoc::SocBatch;
-use next_core::NextConfig;
-use qlearn::{QLearning, QStore, QTable};
+use mpsoc::vsync::VsyncPipeline;
+use mpsoc::{thermal, Soc, SocBatch};
+use next_core::{FrameWindow, NextAgent, NextConfig};
+use qlearn::{DenseQTable, QLearning, QStore, QTable};
 use simkit::sweep::{self, StandardEvaluator, SweepCell};
 use simkit::{Engine, PlatformPreset, Summary};
 use workload::{SessionPlan, SessionSim};
 
 use crate::json::Json;
+use crate::stopwatch::{sample, Spread, Stopwatch};
 
 /// Version of the `BENCH.json` schema family this harness writes. Bump
 /// when a field changes meaning; additions are backwards-compatible.
@@ -38,7 +46,9 @@ use crate::json::Json;
 /// `devices_per_sec` measures steady-state rounds only), adds
 /// per-round `table_bytes` to campaign documents, and adds the
 /// `overlay` section — copy-on-write warm-start and delta-extraction
-/// latencies (`warm_start_ns`, `delta_extract_ns`).
+/// latencies (`warm_start_ns`, `delta_extract_ns`). Later v7 documents
+/// add the `hotpaths` section and an `_iqr` sibling beside every
+/// sampled figure.
 /// [`crate::fleet::parse_document`] still accepts every earlier
 /// version.
 pub const SCHEMA_VERSION: u32 = 7;
@@ -96,7 +106,7 @@ impl PerfConfig {
             // merges) amortise AND the overlay memory claim is
             // visible: by round three the trained bases dwarf the
             // touched sets, so `table_bytes_reduction` crosses 10x.
-            // Still well under a second of wall clock.
+            // Still well under a second of wall clock per replay.
             campaign_devices: 48,
             campaign_rounds: 3,
         }
@@ -126,7 +136,8 @@ impl PerfConfig {
     }
 }
 
-/// Timing and outcome of one measured grid cell.
+/// Timing and outcome of one measured grid cell. The wall figures are
+/// medians over the grid passes, each with its interquartile range.
 #[derive(Debug, Clone)]
 pub struct CellPerf {
     /// The grid point.
@@ -135,15 +146,21 @@ pub struct CellPerf {
     pub summary: Summary,
     /// Wall-clock seconds the cell took on its worker.
     pub wall_s: f64,
+    /// Interquartile range of `wall_s`.
+    pub wall_s_iqr: f64,
     /// 25 ms engine ticks executed.
     pub ticks: u64,
     /// Simulated ticks per wall-clock second.
     pub ticks_per_sec: f64,
+    /// Interquartile range of `ticks_per_sec`.
+    pub ticks_per_sec_iqr: f64,
     /// Governor control invocations during the run.
     pub control_steps: u64,
     /// Wall-clock nanoseconds per control step (includes the platform
     /// simulation between steps — an upper bound on governor overhead).
     pub ns_per_control_step: f64,
+    /// Interquartile range of `ns_per_control_step`.
+    pub ns_per_control_step_iqr: f64,
 }
 
 /// Microbenchmark of one Q-table storage backend: a fully-populated
@@ -156,10 +173,15 @@ pub struct BackendProbe {
     pub states: usize,
     /// Actions per state.
     pub actions: usize,
-    /// Mean nanoseconds per `best_action` (argmax) probe.
+    /// Median nanoseconds per `best_action` (argmax) probe.
     pub argmax_ns: f64,
-    /// Mean nanoseconds per Q-learning update (read + bootstrap + set).
+    /// Interquartile range of `argmax_ns`.
+    pub argmax_ns_iqr: f64,
+    /// Median nanoseconds per Q-learning update (read + bootstrap +
+    /// set).
     pub update_ns: f64,
+    /// Interquartile range of `update_ns`.
+    pub update_ns_iqr: f64,
 }
 
 /// Microbenchmark of the federated merge: the seed's eager all-keys
@@ -173,21 +195,21 @@ pub struct MergeProbe {
     pub states: usize,
     /// Actions per state.
     pub actions: usize,
-    /// Nanoseconds per full eager merge pass.
+    /// Median nanoseconds per full eager merge pass.
     pub eager_ns: f64,
-    /// Nanoseconds per full streaming merge pass.
+    /// Interquartile range of `eager_ns`.
+    pub eager_ns_iqr: f64,
+    /// Median nanoseconds per full streaming merge pass.
     pub streaming_ns: f64,
+    /// Interquartile range of `streaming_ns`.
+    pub streaming_ns_iqr: f64,
 }
 
 impl MergeProbe {
     /// How much faster the streaming merge ran (`eager / streaming`).
     #[must_use]
     pub fn speedup(&self) -> f64 {
-        if self.streaming_ns > 0.0 {
-            self.eager_ns / self.streaming_ns
-        } else {
-            0.0
-        }
+        ratio(self.eager_ns, self.streaming_ns)
     }
 }
 
@@ -206,16 +228,24 @@ pub struct BatchProbe {
     pub duration_s: f64,
     /// 25 ms ticks per device.
     pub ticks: u64,
-    /// Best-of-five wall-clock seconds for the width-N batch.
+    /// Median wall-clock seconds for the width-N batch.
     pub batched_wall_s: f64,
-    /// Best-of-five wall-clock seconds stepping the devices one at a
-    /// time, each as a width-1 batch.
+    /// Interquartile range of `batched_wall_s`.
+    pub batched_wall_s_iqr: f64,
+    /// Median wall-clock seconds stepping the devices one at a time,
+    /// each as a width-1 batch.
     pub sequential_wall_s: f64,
+    /// Interquartile range of `sequential_wall_s`.
+    pub sequential_wall_s_iqr: f64,
     /// Simulated device-days per wall-clock second, batched. This is
     /// the number the CI floor gates on.
     pub device_days_per_sec: f64,
+    /// Interquartile range of `device_days_per_sec`.
+    pub device_days_per_sec_iqr: f64,
     /// Simulated device-days per wall-clock second, one at a time.
     pub sequential_device_days_per_sec: f64,
+    /// Interquartile range of `sequential_device_days_per_sec`.
+    pub sequential_device_days_per_sec_iqr: f64,
 }
 
 impl BatchProbe {
@@ -223,35 +253,37 @@ impl BatchProbe {
     /// width-1 batches (`sequential wall / batched wall`).
     #[must_use]
     pub fn speedup(&self) -> f64 {
-        if self.batched_wall_s > 0.0 {
-            self.sequential_wall_s / self.batched_wall_s
-        } else {
-            0.0
-        }
+        ratio(self.sequential_wall_s, self.batched_wall_s)
     }
 }
 
 /// Throughput probe of the end-to-end campaign runner: a small
 /// quick-plan campaign (whole online-learning days, overlay warm
 /// starts, delta encoding, normalized merges — every layer `next-sim
-/// campaign` exercises) run once, wall-clocked. The warm-seed training
-/// is timed separately from round execution, so `devices_per_sec`
-/// counts simulated device-days per **steady-state round** wall-clock
-/// second — the campaign-scale sizing number the CI floor gates on.
+/// campaign` exercises). The warm seed is trained once, timed on its
+/// own, and every sampled replay runs all rounds from a clone of it,
+/// so `devices_per_sec` counts simulated device-days per
+/// **steady-state round** wall-clock second — the campaign-scale
+/// sizing number the CI floor gates on.
 #[derive(Debug, Clone)]
 pub struct CampaignProbe {
     /// Devices simulated.
     pub devices: usize,
     /// Federated rounds (days per device).
     pub rounds: usize,
-    /// Wall-clock seconds for the whole campaign (seed + rounds).
+    /// Wall-clock seconds for the whole campaign: the seed plus the
+    /// median round execution.
     pub wall_s: f64,
     /// Wall-clock seconds of the one-off warm-seed training.
     pub seed_wall_s: f64,
-    /// Wall-clock seconds of round execution only.
+    /// Median wall-clock seconds of round execution only.
     pub round_wall_s: f64,
+    /// Interquartile range of `round_wall_s`.
+    pub round_wall_s_iqr: f64,
     /// Simulated device-days per round-execution wall-clock second.
     pub devices_per_sec: f64,
+    /// Interquartile range of `devices_per_sec`.
+    pub devices_per_sec_iqr: f64,
     /// Total uplink payload the probe campaign produced, bytes
     /// (deterministic — a sanity anchor for the artifact).
     pub uplink_bytes: u64,
@@ -276,6 +308,15 @@ impl CampaignProbe {
     }
 }
 
+/// `num / den`, or 0 when the denominator is not positive.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
+}
+
 /// Runs the campaign throughput probe on quick-plan days.
 ///
 /// # Panics
@@ -290,27 +331,30 @@ pub fn probe_campaign(
     platform: &str,
 ) -> CampaignProbe {
     let config = simkit::CampaignConfig::quick(devices, rounds, 4242).with_platforms(&[platform]);
-    // qlint::allow(ND01, reason = "wall-clock timing of the probe itself; reported as measurement, never fed to simulation")
-    let started = Instant::now();
+    let watch = Stopwatch::start();
     // qlint::allow(PN01, reason = "probe config is built from literals two lines up")
     let seed = simkit::warm_seed(&config, workers).expect("probe campaign config is valid");
-    let seed_wall_s = started.elapsed().as_secs_f64();
-    // qlint::allow(ND01, reason = "wall-clock timing of the probe itself; reported as measurement, never fed to simulation")
-    let round_started = Instant::now();
-    let report = simkit::run_campaign_from_seed(&config, seed, workers);
-    let round_wall_s = round_started.elapsed().as_secs_f64();
-    let device_days = (devices * rounds) as f64;
+    let seed_wall_s = watch.elapsed_s();
+    let mut report = None;
+    let [round] = sample([&mut || {
+        report = Some(simkit::run_campaign_from_seed(
+            &config,
+            seed.clone(),
+            workers,
+        ));
+    }]);
+    // qlint::allow(PN01, reason = "sample calls every arm at least once")
+    let report = report.expect("the rounds ran");
+    let per_sec = round.rate((devices * rounds) as f64);
     CampaignProbe {
         devices,
         rounds,
-        wall_s: seed_wall_s + round_wall_s,
+        wall_s: seed_wall_s + round.median,
         seed_wall_s,
-        round_wall_s,
-        devices_per_sec: if round_wall_s > 0.0 {
-            device_days / round_wall_s
-        } else {
-            0.0
-        },
+        round_wall_s: round.median,
+        round_wall_s_iqr: round.iqr(),
+        devices_per_sec: per_sec.median,
+        devices_per_sec_iqr: per_sec.iqr(),
         uplink_bytes: report.total_uplink_bytes(),
         peak_table_bytes: report
             .rounds
@@ -341,69 +385,67 @@ pub struct OverlayProbe {
     pub actions: usize,
     /// Rows touched before delta extraction.
     pub touched: usize,
-    /// Mean nanoseconds to warm-start an overlay view of the base.
+    /// Median nanoseconds to warm-start an overlay view of the base.
     pub warm_start_ns: f64,
-    /// Mean nanoseconds to warm-start by dense-cloning the base.
+    /// Interquartile range of `warm_start_ns`.
+    pub warm_start_ns_iqr: f64,
+    /// Median nanoseconds to warm-start by dense-cloning the base.
     pub dense_clone_ns: f64,
-    /// Mean nanoseconds to extract the uplink delta off the overlay.
+    /// Interquartile range of `dense_clone_ns`.
+    pub dense_clone_ns_iqr: f64,
+    /// Median nanoseconds to extract the uplink delta off the overlay.
     pub delta_extract_ns: f64,
-    /// Mean nanoseconds for the equivalent full-space dense diff.
+    /// Interquartile range of `delta_extract_ns`.
+    pub delta_extract_ns_iqr: f64,
+    /// Median nanoseconds for the equivalent full-space dense diff.
     pub dense_delta_ns: f64,
+    /// Interquartile range of `dense_delta_ns`.
+    pub dense_delta_ns_iqr: f64,
 }
 
 impl OverlayProbe {
     /// How much faster the overlay warm start ran than a dense clone.
     #[must_use]
     pub fn warm_start_speedup(&self) -> f64 {
-        if self.warm_start_ns > 0.0 {
-            self.dense_clone_ns / self.warm_start_ns
-        } else {
-            0.0
-        }
+        ratio(self.dense_clone_ns, self.warm_start_ns)
     }
 
     /// How much faster overlay delta extraction ran than the
     /// full-space diff.
     #[must_use]
     pub fn delta_speedup(&self) -> f64 {
-        if self.delta_extract_ns > 0.0 {
-            self.dense_delta_ns / self.delta_extract_ns
-        } else {
-            0.0
-        }
+        ratio(self.dense_delta_ns, self.delta_extract_ns)
     }
 }
 
-/// Times a closure until ≥ 3 passes and ≥ 20 ms have accumulated,
-/// returning mean nanoseconds per pass.
-fn time_pass_ns<F: FnMut()>(mut f: F) -> f64 {
-    f();
-    // qlint::allow(ND01, reason = "benchmark stopwatch; throughput output only")
-    let started = Instant::now();
-    let mut passes = 0u32;
-    while passes < 3 || started.elapsed().as_secs_f64() < 0.02 {
-        f();
-        passes += 1;
-    }
-    started.elapsed().as_secs_f64() * 1e9 / f64::from(passes)
+/// Calls per timed call of an arm that costs well under a
+/// microsecond: enough that the clock read is noise next to even the
+/// cheapest such arm.
+const HOT_CALLS: usize = 1000;
+
+/// Samples one arm on its own and returns its spread in nanoseconds
+/// per call, timing `calls` calls at a time. Arms whose calls cost
+/// orders of magnitude apart do not share rounds: interleaved, the
+/// cheapest arm's time floor would set the round count for all of
+/// them.
+fn ns_per_call(calls: usize, mut call: impl FnMut()) -> Spread {
+    let [spread] = sample([&mut || {
+        for _ in 0..calls {
+            call();
+        }
+    }]);
+    spread.scaled(1e9 / calls as f64)
 }
 
 /// Runs the overlay hot-path probe on a fully-populated
-/// `states`-state, `actions`-action dense base.
+/// `states`-state, `actions`-action dense base. An overlay warm start
+/// costs tens of nanoseconds and a dense clone hundreds of
+/// microseconds, so each arm is sampled alone.
 #[must_use]
 pub fn probe_overlay(states: usize, actions: usize) -> OverlayProbe {
-    use std::sync::Arc;
-
-    let mut base = qlearn::DenseQTable::dense_for_space(actions, 0.0, states as u64);
-    populate(&mut base, states);
+    let mut base = DenseQTable::dense_for_space(actions, 0.0, states as u64);
+    populate(&mut base, states, 0);
     let base = Arc::new(base);
-
-    let warm_start_ns = time_pass_ns(|| {
-        std::hint::black_box(QTable::overlay(Arc::clone(&base)));
-    });
-    let dense_clone_ns = time_pass_ns(|| {
-        std::hint::black_box((*base).clone());
-    });
 
     // A day touches a small fraction of the space; 1% (≥ 16 rows)
     // mirrors the campaign's observed touch rate.
@@ -416,22 +458,31 @@ pub fn probe_overlay(states: usize, actions: usize) -> OverlayProbe {
         dense.set(k, 0, 1.25);
     }
 
-    let delta_extract_ns = time_pass_ns(|| {
-        std::hint::black_box(overlay.delta_bytes());
+    let warm = ns_per_call(HOT_CALLS, || {
+        black_box(QTable::overlay(Arc::clone(&base)));
     });
-    let dense_delta_ns = time_pass_ns(|| {
+    let clone = ns_per_call(1, || {
+        black_box((*base).clone());
+    });
+    let delta = ns_per_call(1, || {
+        black_box(overlay.delta_bytes());
+    });
+    let dense_delta = ns_per_call(1, || {
         // qlint::allow(PN01, reason = "both tables were just built over the same space, so the delta cannot fail")
-        std::hint::black_box(qlearn::delta_between(&*base, &dense).expect("same space and rows"));
+        black_box(qlearn::delta_between(&*base, &dense).expect("same space and rows"));
     });
-
     OverlayProbe {
         states,
         actions,
         touched,
-        warm_start_ns,
-        dense_clone_ns,
-        delta_extract_ns,
-        dense_delta_ns,
+        warm_start_ns: warm.median,
+        warm_start_ns_iqr: warm.iqr(),
+        dense_clone_ns: clone.median,
+        dense_clone_ns_iqr: clone.iqr(),
+        delta_extract_ns: delta.median,
+        delta_extract_ns_iqr: delta.iqr(),
+        dense_delta_ns: dense_delta.median,
+        dense_delta_ns_iqr: dense_delta.iqr(),
     }
 }
 
@@ -441,8 +492,9 @@ const SECONDS_PER_DAY: f64 = 86_400.0;
 /// `apps` round-robin (seeds `1000 + lane`) for `duration_s` simulated
 /// seconds on `preset`'s SoC, with the in-SoC utilization governor as
 /// the only control loop. Demand traces are generated **outside** the
-/// timed region and shared by both paths, so the probe times the
-/// physics kernel, not the workload model.
+/// timed region and shared by both arms, so the probe times the
+/// physics kernel, not the workload model. Every timed call starts
+/// from freshly built devices.
 ///
 /// # Panics
 ///
@@ -474,43 +526,28 @@ pub fn probe_batch(
         }
     }
 
-    // Best-of-N wall clock on both paths: a pass is milliseconds, so
-    // scheduler noise only ever inflates a measurement and the minimum
-    // is the robust estimate of the true cost. The passes alternate
-    // batched/sequential so clock-speed drift across the probe (turbo
-    // decay, thermal throttling of the host) hits both paths alike
-    // instead of biasing their ratio.
-    let passes = 5;
-    let config = &preset.soc;
-    let mut batched_wall_s = f64::INFINITY;
-    let mut sequential_wall_s = f64::INFINITY;
     // qlint::allow(PN01, reason = "preset configs ship with the crate and are covered by tests")
-    let mut batch = SocBatch::replicate(config, width).expect("preset SoC config is valid");
+    let fresh = SocBatch::replicate(&preset.soc, width).expect("preset SoC config is valid");
+    // qlint::allow(PN01, reason = "preset configs ship with the crate and are covered by tests")
+    let fresh_solo = SocBatch::replicate(&preset.soc, 1).expect("preset SoC config is valid");
+    let mut batch = fresh.clone();
     let mut alone: Vec<SocBatch> = Vec::new();
-    for _ in 0..passes {
-        // qlint::allow(PN01, reason = "preset configs ship with the crate and are covered by tests")
-        batch = SocBatch::replicate(config, width).expect("preset SoC config is valid");
-        // qlint::allow(ND01, reason = "benchmark stopwatch around the batched tick loop; ratio output only")
-        let started = Instant::now();
-        for row in &demands {
-            batch.tick(dt, row);
-        }
-        batched_wall_s = batched_wall_s.min(started.elapsed().as_secs_f64());
-
-        alone.clear();
-        for _ in 0..width {
-            // qlint::allow(PN01, reason = "preset configs ship with the crate and are covered by tests")
-            alone.push(SocBatch::replicate(config, 1).expect("preset SoC config is valid"));
-        }
-        // qlint::allow(ND01, reason = "benchmark stopwatch around the sequential tick loop; ratio output only")
-        let started = Instant::now();
-        for (lane, solo) in alone.iter_mut().enumerate() {
+    let [batched, sequential] = sample([
+        &mut || {
+            batch.clone_from(&fresh);
             for row in &demands {
-                solo.tick(dt, &row[lane..=lane]);
+                batch.tick(dt, row);
             }
-        }
-        sequential_wall_s = sequential_wall_s.min(started.elapsed().as_secs_f64());
-    }
+        },
+        &mut || {
+            alone = vec![fresh_solo.clone(); width];
+            for (lane, solo) in alone.iter_mut().enumerate() {
+                for row in &demands {
+                    solo.tick(dt, &row[lane..=lane]);
+                }
+            }
+        },
+    ]);
 
     // The probe doubles as a lane-independence check on real workload
     // traces: a lane's neighbours must be unobservable.
@@ -522,23 +559,149 @@ pub fn probe_batch(
     }
 
     let device_days = width as f64 * duration_s / SECONDS_PER_DAY;
+    let batched_rate = batched.rate(device_days);
+    let sequential_rate = sequential.rate(device_days);
     BatchProbe {
         width,
         duration_s,
         ticks,
-        batched_wall_s,
-        sequential_wall_s,
-        device_days_per_sec: if batched_wall_s > 0.0 {
-            device_days / batched_wall_s
-        } else {
-            0.0
-        },
-        sequential_device_days_per_sec: if sequential_wall_s > 0.0 {
-            device_days / sequential_wall_s
-        } else {
-            0.0
-        },
+        batched_wall_s: batched.median,
+        batched_wall_s_iqr: batched.iqr(),
+        sequential_wall_s: sequential.median,
+        sequential_wall_s_iqr: sequential.iqr(),
+        device_days_per_sec: batched_rate.median,
+        device_days_per_sec_iqr: batched_rate.iqr(),
+        sequential_device_days_per_sec: sequential_rate.median,
+        sequential_device_days_per_sec_iqr: sequential_rate.iqr(),
     }
+}
+
+/// Median cost of one call of a substrate hot path.
+#[derive(Debug, Clone)]
+pub struct HotpathArm {
+    /// Arm name; the `BENCH.json` keys are `<name>_ns` and
+    /// `<name>_ns_iqr`.
+    pub name: &'static str,
+    /// Median nanoseconds per call.
+    pub ns_per_call: f64,
+    /// Interquartile range of `ns_per_call`.
+    pub ns_per_call_iqr: f64,
+}
+
+/// Samples one hot path on its own (the arms cost from nanoseconds to
+/// microseconds per call).
+fn hot_arm(name: &'static str, call: impl FnMut()) -> HotpathArm {
+    let ns = ns_per_call(HOT_CALLS, call);
+    HotpathArm {
+        name,
+        ns_per_call: ns.median,
+        ns_per_call_iqr: ns.iqr(),
+    }
+}
+
+/// An agent and a device after 5 simulated minutes of a UI workload
+/// with the agent in the loop, the agent switched to greedy inference.
+fn trained_agent(preset: &PlatformPreset, demand: &FrameDemand) -> (NextAgent, Soc) {
+    let mut agent = NextAgent::new(preset.next.clone());
+    let mut soc = Soc::new(preset.soc.clone());
+    for t in 0..12_000 {
+        let out = soc.tick(0.025, demand);
+        agent.observe_frame_sample(out.fps);
+        if t % 4 == 0 {
+            let s = soc.state();
+            agent.step(&s, soc.dvfs_mut());
+        }
+    }
+    agent.set_training(false);
+    (agent, soc)
+}
+
+/// Times the per-call hot paths of every substrate on `preset`: the
+/// frame window, the Next control step (greedy, as §V measures its
+/// ≈227 ns decision overhead, and training), one SoC tick, one thermal
+/// step, one VSync tick, the execution plan, one Q update and one
+/// workload advance.
+#[must_use]
+pub fn probe_hotpaths(preset: &PlatformPreset) -> Vec<HotpathArm> {
+    let ui = FrameDemand::new(4.0e6, 2.0e6, 5.0e6).with_background(0.3e9, 0.1e9, 0.0);
+    let heavy = FrameDemand::new(10.0e6, 3.0e6, 8.0e6).with_background(0.4e9, 0.2e9, 0.0);
+    let (mut greedy, mut greedy_soc) = trained_agent(preset, &ui);
+    let (mut training, mut training_soc) = (greedy.clone(), greedy_soc.clone());
+    training.set_training(true);
+    let state = greedy_soc.state();
+
+    let mut window = FrameWindow::paper_default();
+    for i in 0..160 {
+        window.push(f64::from(i % 60));
+    }
+
+    let mut soc = Soc::new(preset.soc.clone());
+
+    let net = &preset.soc.thermal;
+    let max_dt = thermal::max_stable_dt(net);
+    let mut temps = vec![net.ambient_c; net.nodes.len()];
+    let mut flux = vec![0.0; net.nodes.len()];
+    let powers = vec![1.5; net.nodes.len()];
+
+    let mut pipe = VsyncPipeline::new(preset.soc.refresh_hz);
+
+    let platform = &preset.soc.platform;
+    let max_opps: Vec<_> = platform.domains().iter().map(|d| d.table.max()).collect();
+
+    let mut table = QTable::new(platform.action_count());
+    for s in 0..1_000u64 {
+        table.set(s, (s % 9) as usize, s as f64 * 0.01);
+    }
+    let learner = QLearning::new(0.25, 0.5);
+    let mut key = 0u64;
+
+    // A session far longer than the probe, so every call advances a
+    // live app instead of an ended plan's idle demand.
+    let mut session = SessionSim::new(SessionPlan::single("facebook", 1e7), 42);
+
+    vec![
+        hot_arm("frame_window_push", || {
+            greedy.observe_frame_sample(black_box(42.0));
+        }),
+        hot_arm("frame_window_mode", || {
+            black_box(window.mode());
+        }),
+        hot_arm("next_control_step_greedy", || {
+            greedy.step(black_box(&state), greedy_soc.dvfs_mut());
+        }),
+        hot_arm("next_control_step_training", || {
+            training.step(black_box(&state), training_soc.dvfs_mut());
+        }),
+        hot_arm("soc_tick", || {
+            black_box(soc.tick(0.025, black_box(&heavy)));
+        }),
+        hot_arm("thermal_step", || {
+            thermal::step_lanes(
+                net,
+                max_dt,
+                1,
+                &mut temps,
+                black_box(&powers),
+                &[net.ambient_c],
+                &mut flux,
+                0.025,
+            );
+        }),
+        hot_arm("vsync_tick", || {
+            black_box(pipe.tick(0.025, Some(0.02)));
+        }),
+        hot_arm("perf_plan", || {
+            black_box(mpsoc::perf::plan(black_box(&heavy), &max_opps, platform));
+        }),
+        hot_arm("qtable_update", || {
+            key = (key + 1) % 1_000;
+            let action = (key % 9) as usize;
+            black_box(learner.update(&mut table, key, action, 1.5, (key + 1) % 1_000));
+        }),
+        hot_arm("workload_advance", || {
+            black_box(session.advance(0.025));
+        }),
+    ]
 }
 
 /// A finished perf run, renderable as `BENCH.json`.
@@ -548,8 +711,13 @@ pub struct PerfReport {
     pub config: PerfConfig,
     /// Wall-clock seconds spent training Next tables (all apps).
     pub train_wall_s: f64,
-    /// Wall-clock seconds of the measured grid phase (parallel).
+    /// Median wall-clock seconds of one pass over the grid (parallel).
     pub grid_wall_s: f64,
+    /// Interquartile range of `grid_wall_s`.
+    pub grid_wall_s_iqr: f64,
+    /// Interquartile range of [`throughput_ticks_per_sec`] over the
+    /// grid passes.
+    pub ticks_per_sec_iqr: f64,
     /// Per-cell results, in grid order.
     pub cells: Vec<CellPerf>,
     /// Backend microbenchmarks (hash then dense).
@@ -563,6 +731,8 @@ pub struct PerfReport {
     /// Copy-on-write overlay hot-path probe (`warm_start_ns`,
     /// `delta_extract_ns`).
     pub overlay: OverlayProbe,
+    /// Per-call substrate hot paths.
+    pub hotpaths: Vec<HotpathArm>,
 }
 
 /// Wall-clock period of governor `name`, seconds.
@@ -581,7 +751,7 @@ pub fn governor_period_s(name: &str) -> f64 {
         .period_s()
 }
 
-/// Runs the harness: trains, measures the grid, probes the backends.
+/// Runs the harness: trains, measures the grid, runs every probe.
 ///
 /// # Panics
 ///
@@ -599,82 +769,81 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         Some(config.duration_s),
     );
 
-    // qlint::allow(ND01, reason = "wall-clock section timing for the perf artifact; simulation time is driven by the deterministic tick")
-    let train_started = Instant::now();
+    let train = Stopwatch::start();
     let evaluator = StandardEvaluator::prepare_on(
         &cells,
         config.train_budget_s,
         config.workers,
         preset.clone(),
     );
-    let train_wall_s = train_started.elapsed().as_secs_f64();
+    let train_wall_s = train.elapsed_s();
 
-    // qlint::allow(ND01, reason = "wall-clock section timing for the perf artifact; simulation time is driven by the deterministic tick")
-    let grid_started = Instant::now();
-    let timed: Vec<(Summary, f64)> = sweep::parallel_map(&cells, config.workers, |cell| {
-        // qlint::allow(ND01, reason = "per-cell wall time reported in the artifact; the cell's simulation is seed-driven")
-        let started = Instant::now();
-        let summary = evaluator.eval(cell);
-        (summary, started.elapsed().as_secs_f64())
-    });
-    let grid_wall_s = grid_started.elapsed().as_secs_f64();
+    // Every pass re-runs the whole grid; each cell's wall is read on
+    // its worker, so the per-cell figures are medians over the same
+    // timed passes as the grid's.
+    let mut passes: Vec<Vec<(Summary, f64)>> = Vec::new();
+    let [grid] = sample([&mut || {
+        passes.push(sweep::parallel_map(&cells, config.workers, |cell| {
+            let watch = Stopwatch::start();
+            let summary = evaluator.eval(cell);
+            (summary, watch.elapsed_s())
+        }));
+    }]);
+    let timed = &passes[passes.len() - grid.n..];
 
     // Tick accounting comes from the same Engine the evaluator runs
     // cells on, so BENCH.json cannot drift from what actually executed.
     let engine = Engine::new();
-    let cells = cells
+    let cells: Vec<CellPerf> = cells
         .into_iter()
-        .zip(timed)
-        .map(|(cell, (summary, wall_s))| {
+        .enumerate()
+        .map(|(i, cell)| {
+            let walls: Vec<f64> = timed.iter().map(|pass| pass[i].1).collect();
+            let wall = Spread::of(&walls);
             let ticks = engine.ticks_for(cell.duration_s);
             let period = governor_period_s(&cell.governor);
             let control_every = engine.control_every_ticks(period);
             let control_steps = ticks / control_every;
+            let rate = wall.rate(ticks as f64);
+            let per_step = wall.scaled(ratio(1e9, control_steps as f64));
             CellPerf {
+                summary: timed[0][i].0,
+                wall_s: wall.median,
+                wall_s_iqr: wall.iqr(),
                 ticks,
-                ticks_per_sec: if wall_s > 0.0 {
-                    ticks as f64 / wall_s
-                } else {
-                    0.0
-                },
+                ticks_per_sec: rate.median,
+                ticks_per_sec_iqr: rate.iqr(),
                 control_steps,
-                ns_per_control_step: if control_steps > 0 {
-                    wall_s * 1e9 / control_steps as f64
-                } else {
-                    0.0
-                },
+                ns_per_control_step: per_step.median,
+                ns_per_control_step_iqr: per_step.iqr(),
                 cell,
-                summary,
-                wall_s,
             }
         })
         .collect();
-
-    let probes = probe_backends(config.probe_states, probe_actions);
-    let merge = probe_merge(
-        config.probe_states.min(MERGE_PROBE_MAX_STATES),
-        16,
-        probe_actions,
-    );
-    let batch = probe_batch(config.batch_width, config.duration_s, &config.apps, &preset);
-    let campaign = probe_campaign(
-        config.campaign_devices,
-        config.campaign_rounds,
-        config.workers,
-        &config.platform,
-    );
-    let overlay = probe_overlay(config.probe_states, probe_actions);
+    let total_ticks: u64 = cells.iter().map(|c| c.ticks).sum();
 
     PerfReport {
         config: config.clone(),
         train_wall_s,
-        grid_wall_s,
+        grid_wall_s: grid.median,
+        grid_wall_s_iqr: grid.iqr(),
+        ticks_per_sec_iqr: grid.rate(total_ticks as f64).iqr(),
         cells,
-        probes,
-        merge,
-        batch,
-        campaign,
-        overlay,
+        probes: probe_backends(config.probe_states, probe_actions),
+        merge: probe_merge(
+            config.probe_states.min(MERGE_PROBE_MAX_STATES),
+            16,
+            probe_actions,
+        ),
+        batch: probe_batch(config.batch_width, config.duration_s, &config.apps, &preset),
+        campaign: probe_campaign(
+            config.campaign_devices,
+            config.campaign_rounds,
+            config.workers,
+            &config.platform,
+        ),
+        overlay: probe_overlay(config.probe_states, probe_actions),
+        hotpaths: probe_hotpaths(&preset),
     }
 }
 
@@ -685,22 +854,14 @@ pub fn total_ticks(report: &PerfReport) -> u64 {
 }
 
 /// Aggregate throughput of the measured grid phase: simulated ticks per
-/// wall-clock second, all workers combined. This is the number the CI
-/// floor gates on.
+/// wall-clock second of the median grid pass, all workers combined.
+/// This is the number the CI floor gates on.
 #[must_use]
 pub fn throughput_ticks_per_sec(report: &PerfReport) -> f64 {
-    if report.grid_wall_s > 0.0 {
-        total_ticks(report) as f64 / report.grid_wall_s
-    } else {
-        0.0
-    }
+    ratio(total_ticks(report) as f64, report.grid_wall_s)
 }
 
-fn populate(table: &mut QTable<impl QStore>, states: usize) {
-    populate_salted(table, states, 0);
-}
-
-fn populate_salted(table: &mut QTable<impl QStore>, states: usize, salt: u64) {
+fn populate(table: &mut QTable<impl QStore>, states: usize, salt: u64) {
     let actions = table.n_actions();
     for s in 0..states as u64 {
         for a in 0..actions {
@@ -729,48 +890,27 @@ fn probe_sequence(states: usize) -> Vec<u64> {
     keys
 }
 
-fn time_per_op<F: FnMut(u64)>(keys: &[u64], mut op: F) -> f64 {
-    // Warm-up pass, then measure whole passes until ≥ 20 ms and ≥ 3
-    // passes have accumulated.
-    for &k in keys {
-        op(k);
-    }
-    // qlint::allow(ND01, reason = "benchmark stopwatch; ns-per-op output only")
-    let started = Instant::now();
-    let mut ops = 0u64;
-    let mut passes = 0u32;
-    while passes < 3 || started.elapsed().as_secs_f64() < 0.02 {
+/// One timed call of the argmax arm: an argmax probe of every key.
+fn argmax_pass<'a, S: QStore>(table: &'a RefCell<QTable<S>>, keys: &'a [u64]) -> impl FnMut() + 'a {
+    move || {
+        let table = table.borrow();
         for &k in keys {
-            op(k);
+            black_box(table.best_action(black_box(k)));
         }
-        ops += keys.len() as u64;
-        passes += 1;
     }
-    started.elapsed().as_secs_f64() * 1e9 / ops as f64
 }
 
-fn probe_backend<S: QStore>(mut table: QTable<S>, states: usize) -> BackendProbe {
-    populate(&mut table, states);
-    let keys = probe_sequence(states);
+/// One timed call of the update arm: a greedy Q update of every key,
+/// bootstrapping from the next key in the sequence.
+fn update_pass<'a, S: QStore>(table: &'a RefCell<QTable<S>>, keys: &'a [u64]) -> impl FnMut() + 'a {
     let learner = QLearning::new(0.25, 0.5);
-
-    let argmax_ns = time_per_op(&keys, |k| {
-        std::hint::black_box(table.best_action(std::hint::black_box(k)));
-    });
-    let mut i = 0usize;
-    let update_ns = time_per_op(&keys, |k| {
-        let next = keys[i];
-        i = (i + 1) % keys.len();
-        let (a, _) = table.best_action(k);
-        std::hint::black_box(learner.update(&mut table, k, a, 0.5, next));
-    });
-
-    BackendProbe {
-        backend: S::backend_name().to_owned(),
-        states,
-        actions: table.n_actions(),
-        argmax_ns,
-        update_ns,
+    move || {
+        let mut table = table.borrow_mut();
+        for (i, &k) in keys.iter().enumerate() {
+            let next = keys[(i + 1) % keys.len()];
+            let (a, _) = table.best_action(k);
+            black_box(learner.update(&mut table, k, a, 0.5, next));
+        }
     }
 }
 
@@ -786,32 +926,30 @@ const MERGE_PROBE_MAX_STATES: usize = 50_000;
 #[must_use]
 pub fn probe_merge(states: usize, tables: usize, actions: usize) -> MergeProbe {
     let build = |salt: u64| {
-        let mut t = qlearn::DenseQTable::dense_for_space(actions, 0.0, states as u64);
-        populate_salted(&mut t, states, salt);
+        let mut t = DenseQTable::dense_for_space(actions, 0.0, states as u64);
+        populate(&mut t, states, salt);
         t
     };
     let distinct = [build(0), build(5)];
-    let refs: Vec<&qlearn::DenseQTable> = (0..tables).map(|i| &distinct[i % 2]).collect();
+    let refs: Vec<&DenseQTable> = (0..tables).map(|i| &distinct[i % 2]).collect();
 
-    let time_pass = |f: &dyn Fn() -> qlearn::DenseQTable| {
-        // At least 2 passes and 20 ms, like the backend probes.
-        // qlint::allow(ND01, reason = "benchmark stopwatch; merge-throughput output only")
-        let started = Instant::now();
-        let mut passes = 0u32;
-        while passes < 2 || started.elapsed().as_secs_f64() < 0.02 {
-            std::hint::black_box(f());
-            passes += 1;
-        }
-        started.elapsed().as_secs_f64() * 1e9 / f64::from(passes)
-    };
-    let eager_ns = time_pass(&|| qlearn::federated::merge_eager(&refs));
-    let streaming_ns = time_pass(&|| qlearn::federated::merge(&refs));
+    let [eager, streaming] = sample([
+        &mut || {
+            black_box(qlearn::federated::merge_eager(&refs));
+        },
+        &mut || {
+            black_box(qlearn::federated::merge(&refs));
+        },
+    ]);
+    let (eager, streaming) = (eager.scaled(1e9), streaming.scaled(1e9));
     MergeProbe {
         tables,
         states,
         actions,
-        eager_ns,
-        streaming_ns,
+        eager_ns: eager.median,
+        eager_ns_iqr: eager.iqr(),
+        streaming_ns: streaming.median,
+        streaming_ns_iqr: streaming.iqr(),
     }
 }
 
@@ -819,15 +957,51 @@ pub fn probe_merge(states: usize, tables: usize, actions: usize) -> MergeProbe {
 /// a fully-populated `states`-state table of `actions` actions (compact
 /// keys, as produced by the dense `StateSpace` encoding; the dense
 /// table declares the space so it gets its direct slot-table index,
-/// exactly as the agent does).
+/// exactly as the agent does). The four arms — argmax and update on
+/// each backend — share rounds; a timed call is one pass over every
+/// key, reported per key.
 #[must_use]
 pub fn probe_backends(states: usize, actions: usize) -> Vec<BackendProbe> {
-    vec![
-        probe_backend(QTable::<qlearn::HashStore>::empty(actions, 0.0), states),
-        probe_backend(
-            qlearn::DenseQTable::dense_for_space(actions, 0.0, states as u64),
+    let keys = probe_sequence(states);
+    let mut hash = QTable::<qlearn::HashStore>::empty(actions, 0.0);
+    populate(&mut hash, states, 0);
+    let mut dense = DenseQTable::dense_for_space(actions, 0.0, states as u64);
+    populate(&mut dense, states, 0);
+    let (hash, dense) = (RefCell::new(hash), RefCell::new(dense));
+    let [hash_argmax, hash_update, dense_argmax, dense_update] = sample([
+        &mut argmax_pass(&hash, &keys),
+        &mut update_pass(&hash, &keys),
+        &mut argmax_pass(&dense, &keys),
+        &mut update_pass(&dense, &keys),
+    ]);
+    let per_key = 1e9 / keys.len().max(1) as f64;
+    let probe = |backend: &str, argmax: Spread, update: Spread| {
+        let (argmax, update) = (argmax.scaled(per_key), update.scaled(per_key));
+        BackendProbe {
+            backend: backend.to_owned(),
             states,
+            actions,
+            argmax_ns: argmax.median,
+            argmax_ns_iqr: argmax.iqr(),
+            update_ns: update.median,
+            update_ns_iqr: update.iqr(),
+        }
+    };
+    vec![
+        probe(qlearn::HashStore::backend_name(), hash_argmax, hash_update),
+        probe(
+            qlearn::DenseStore::backend_name(),
+            dense_argmax,
+            dense_update,
         ),
+    ]
+}
+
+/// A sampled figure and its `_iqr` sibling.
+fn sampled(name: &str, median: f64, iqr: f64) -> [(String, Json); 2] {
+    [
+        (name.to_owned(), Json::num(median)),
+        (format!("{name}_iqr"), Json::num(iqr)),
     ]
 }
 
@@ -858,124 +1032,169 @@ impl PerfReport {
             .cells
             .iter()
             .map(|c| {
-                Json::Obj(vec![
+                let mut fields = vec![
                     ("app".into(), Json::str(&c.cell.app)),
                     ("governor".into(), Json::str(&c.cell.governor)),
                     ("seed".into(), Json::num(c.cell.seed as f64)),
                     ("duration_s".into(), Json::num(c.cell.duration_s)),
                     ("ticks".into(), Json::num(c.ticks as f64)),
-                    ("wall_s".into(), Json::num(c.wall_s)),
-                    ("ticks_per_sec".into(), Json::num(c.ticks_per_sec)),
-                    ("control_steps".into(), Json::num(c.control_steps as f64)),
-                    (
-                        "ns_per_control_step".into(),
-                        Json::num(c.ns_per_control_step),
-                    ),
-                    ("avg_power_w".into(), Json::num(c.summary.avg_power_w)),
-                    ("avg_fps".into(), Json::num(c.summary.avg_fps)),
-                ])
+                ];
+                fields.extend(sampled("wall_s", c.wall_s, c.wall_s_iqr));
+                fields.extend(sampled(
+                    "ticks_per_sec",
+                    c.ticks_per_sec,
+                    c.ticks_per_sec_iqr,
+                ));
+                fields.push(("control_steps".into(), Json::num(c.control_steps as f64)));
+                fields.extend(sampled(
+                    "ns_per_control_step",
+                    c.ns_per_control_step,
+                    c.ns_per_control_step_iqr,
+                ));
+                fields.push(("avg_power_w".into(), Json::num(c.summary.avg_power_w)));
+                fields.push(("avg_fps".into(), Json::num(c.summary.avg_fps)));
+                Json::Obj(fields)
             })
             .collect();
         let probes = self
             .probes
             .iter()
             .map(|p| {
-                Json::Obj(vec![
+                let mut fields = vec![
                     ("backend".into(), Json::str(&p.backend)),
                     ("states".into(), Json::num(p.states as f64)),
                     ("actions".into(), Json::num(p.actions as f64)),
-                    ("argmax_ns".into(), Json::num(p.argmax_ns)),
-                    ("update_ns".into(), Json::num(p.update_ns)),
-                ])
+                ];
+                fields.extend(sampled("argmax_ns", p.argmax_ns, p.argmax_ns_iqr));
+                fields.extend(sampled("update_ns", p.update_ns, p.update_ns_iqr));
+                Json::Obj(fields)
             })
             .collect();
         let dense_speedup = self.dense_speedup().map_or(Json::Null, Json::num);
-        let merge = Json::Obj(vec![
-            ("tables".into(), Json::num(self.merge.tables as f64)),
-            ("states".into(), Json::num(self.merge.states as f64)),
-            ("actions".into(), Json::num(self.merge.actions as f64)),
-            ("eager_ns".into(), Json::num(self.merge.eager_ns)),
-            ("streaming_ns".into(), Json::num(self.merge.streaming_ns)),
-            ("speedup".into(), Json::num(self.merge.speedup())),
-        ]);
-        let batch = Json::Obj(vec![
-            ("width".into(), Json::num(self.batch.width as f64)),
-            ("duration_s".into(), Json::num(self.batch.duration_s)),
-            ("ticks".into(), Json::num(self.batch.ticks as f64)),
-            (
-                "batched_wall_s".into(),
-                Json::num(self.batch.batched_wall_s),
-            ),
-            (
-                "sequential_wall_s".into(),
-                Json::num(self.batch.sequential_wall_s),
-            ),
-            (
-                "device_days_per_sec".into(),
-                Json::num(self.batch.device_days_per_sec),
-            ),
-            (
-                "sequential_device_days_per_sec".into(),
-                Json::num(self.batch.sequential_device_days_per_sec),
-            ),
-            ("speedup".into(), Json::num(self.batch.speedup())),
-        ]);
-        let campaign = Json::Obj(vec![
-            ("devices".into(), Json::num(self.campaign.devices as f64)),
-            ("rounds".into(), Json::num(self.campaign.rounds as f64)),
-            ("wall_s".into(), Json::num(self.campaign.wall_s)),
-            ("seed_wall_s".into(), Json::num(self.campaign.seed_wall_s)),
-            ("round_wall_s".into(), Json::num(self.campaign.round_wall_s)),
-            (
-                "devices_per_sec".into(),
-                Json::num(self.campaign.devices_per_sec),
-            ),
-            (
-                "uplink_bytes".into(),
-                Json::num_u64(self.campaign.uplink_bytes),
-            ),
-            (
-                "peak_table_bytes".into(),
-                Json::num_u64(self.campaign.peak_table_bytes),
-            ),
+
+        let m = &self.merge;
+        let mut merge = vec![
+            ("tables".into(), Json::num(m.tables as f64)),
+            ("states".into(), Json::num(m.states as f64)),
+            ("actions".into(), Json::num(m.actions as f64)),
+        ];
+        merge.extend(sampled("eager_ns", m.eager_ns, m.eager_ns_iqr));
+        merge.extend(sampled("streaming_ns", m.streaming_ns, m.streaming_ns_iqr));
+        merge.push(("speedup".into(), Json::num(m.speedup())));
+
+        let b = &self.batch;
+        let mut batch = vec![
+            ("width".into(), Json::num(b.width as f64)),
+            ("duration_s".into(), Json::num(b.duration_s)),
+            ("ticks".into(), Json::num(b.ticks as f64)),
+        ];
+        batch.extend(sampled(
+            "batched_wall_s",
+            b.batched_wall_s,
+            b.batched_wall_s_iqr,
+        ));
+        batch.extend(sampled(
+            "sequential_wall_s",
+            b.sequential_wall_s,
+            b.sequential_wall_s_iqr,
+        ));
+        batch.extend(sampled(
+            "device_days_per_sec",
+            b.device_days_per_sec,
+            b.device_days_per_sec_iqr,
+        ));
+        batch.extend(sampled(
+            "sequential_device_days_per_sec",
+            b.sequential_device_days_per_sec,
+            b.sequential_device_days_per_sec_iqr,
+        ));
+        batch.push(("speedup".into(), Json::num(b.speedup())));
+
+        let c = &self.campaign;
+        let mut campaign = vec![
+            ("devices".into(), Json::num(c.devices as f64)),
+            ("rounds".into(), Json::num(c.rounds as f64)),
+            ("wall_s".into(), Json::num(c.wall_s)),
+            ("seed_wall_s".into(), Json::num(c.seed_wall_s)),
+        ];
+        campaign.extend(sampled("round_wall_s", c.round_wall_s, c.round_wall_s_iqr));
+        campaign.extend(sampled(
+            "devices_per_sec",
+            c.devices_per_sec,
+            c.devices_per_sec_iqr,
+        ));
+        campaign.extend([
+            ("uplink_bytes".into(), Json::num_u64(c.uplink_bytes)),
+            ("peak_table_bytes".into(), Json::num_u64(c.peak_table_bytes)),
             (
                 "dense_clone_bytes".into(),
-                Json::num_u64(self.campaign.dense_clone_bytes),
+                Json::num_u64(c.dense_clone_bytes),
             ),
             (
                 "table_bytes_reduction".into(),
-                Json::num(self.campaign.table_bytes_reduction()),
+                Json::num(c.table_bytes_reduction()),
             ),
         ]);
-        let overlay = Json::Obj(vec![
-            ("states".into(), Json::num(self.overlay.states as f64)),
-            ("actions".into(), Json::num(self.overlay.actions as f64)),
-            ("touched".into(), Json::num(self.overlay.touched as f64)),
-            (
-                "warm_start_ns".into(),
-                Json::num(self.overlay.warm_start_ns),
-            ),
-            (
-                "dense_clone_ns".into(),
-                Json::num(self.overlay.dense_clone_ns),
-            ),
-            (
-                "warm_start_speedup".into(),
-                Json::num(self.overlay.warm_start_speedup()),
-            ),
-            (
-                "delta_extract_ns".into(),
-                Json::num(self.overlay.delta_extract_ns),
-            ),
-            (
-                "dense_delta_ns".into(),
-                Json::num(self.overlay.dense_delta_ns),
-            ),
-            (
-                "delta_speedup".into(),
-                Json::num(self.overlay.delta_speedup()),
-            ),
-        ]);
+
+        let o = &self.overlay;
+        let mut overlay = vec![
+            ("states".into(), Json::num(o.states as f64)),
+            ("actions".into(), Json::num(o.actions as f64)),
+            ("touched".into(), Json::num(o.touched as f64)),
+        ];
+        overlay.extend(sampled(
+            "warm_start_ns",
+            o.warm_start_ns,
+            o.warm_start_ns_iqr,
+        ));
+        overlay.extend(sampled(
+            "dense_clone_ns",
+            o.dense_clone_ns,
+            o.dense_clone_ns_iqr,
+        ));
+        overlay.push((
+            "warm_start_speedup".into(),
+            Json::num(o.warm_start_speedup()),
+        ));
+        overlay.extend(sampled(
+            "delta_extract_ns",
+            o.delta_extract_ns,
+            o.delta_extract_ns_iqr,
+        ));
+        overlay.extend(sampled(
+            "dense_delta_ns",
+            o.dense_delta_ns,
+            o.dense_delta_ns_iqr,
+        ));
+        overlay.push(("delta_speedup".into(), Json::num(o.delta_speedup())));
+
+        let hotpaths = self
+            .hotpaths
+            .iter()
+            .flat_map(|arm| {
+                sampled(
+                    &format!("{}_ns", arm.name),
+                    arm.ns_per_call,
+                    arm.ns_per_call_iqr,
+                )
+            })
+            .collect();
+
+        let mut totals = vec![
+            ("cells".into(), Json::num(self.cells.len() as f64)),
+            ("ticks".into(), Json::num(total_ticks(self) as f64)),
+        ];
+        totals.extend(sampled(
+            "grid_wall_s",
+            self.grid_wall_s,
+            self.grid_wall_s_iqr,
+        ));
+        totals.extend(sampled(
+            "ticks_per_sec",
+            throughput_ticks_per_sec(self),
+            self.ticks_per_sec_iqr,
+        ));
+
         Json::Obj(vec![
             ("schema".into(), Json::num(f64::from(SCHEMA_VERSION))),
             ("harness".into(), Json::str("next-sim perf")),
@@ -987,24 +1206,14 @@ impl PerfReport {
                 Json::Obj(vec![("wall_s".into(), Json::num(self.train_wall_s))]),
             ),
             ("cells".into(), Json::Arr(cells)),
-            (
-                "totals".into(),
-                Json::Obj(vec![
-                    ("cells".into(), Json::num(self.cells.len() as f64)),
-                    ("ticks".into(), Json::num(total_ticks(self) as f64)),
-                    ("grid_wall_s".into(), Json::num(self.grid_wall_s)),
-                    (
-                        "ticks_per_sec".into(),
-                        Json::num(throughput_ticks_per_sec(self)),
-                    ),
-                ]),
-            ),
+            ("totals".into(), Json::Obj(totals)),
             ("qtable".into(), Json::Arr(probes)),
             ("dense_speedup".into(), dense_speedup),
-            ("merge".into(), merge),
-            ("batch".into(), batch),
-            ("campaign".into(), campaign),
-            ("overlay".into(), overlay),
+            ("merge".into(), Json::Obj(merge)),
+            ("batch".into(), Json::Obj(batch)),
+            ("campaign".into(), Json::Obj(campaign)),
+            ("overlay".into(), Json::Obj(overlay)),
+            ("hotpaths".into(), Json::Obj(hotpaths)),
         ])
     }
 
@@ -1485,14 +1694,96 @@ mod tests {
     #[test]
     fn merge_probe_measures_both_paths() {
         // Structural checks only — the performance claim itself lives
-        // in the `federated_merge` criterion bench and the BENCH.json
-        // artifact, where wall-clock noise doesn't fail `cargo test`.
+        // in the BENCH.json artifact, where wall-clock noise doesn't
+        // fail `cargo test`.
         let probe = probe_merge(2_000, 8, 9);
         assert_eq!(probe.tables, 8);
         assert_eq!(probe.states, 2_000);
         assert_eq!(probe.actions, 9);
         assert!(probe.eager_ns > 0.0 && probe.streaming_ns > 0.0);
+        assert!(probe.eager_ns_iqr >= 0.0 && probe.streaming_ns_iqr >= 0.0);
         assert!(probe.speedup() > 0.0);
+    }
+
+    /// The keys of a JSON object, in order.
+    fn keys(obj: &Json) -> Vec<&str> {
+        match obj {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("expected an object, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn json_carries_hotpaths_and_an_iqr_beside_every_sampled_figure() {
+        let doc = run(&tiny_config()).to_json();
+        let hot = doc.get("hotpaths").expect("hotpaths section");
+        for arm in [
+            "frame_window_push",
+            "frame_window_mode",
+            "next_control_step_greedy",
+            "next_control_step_training",
+            "soc_tick",
+            "thermal_step",
+            "vsync_tick",
+            "perf_plan",
+            "qtable_update",
+            "workload_advance",
+        ] {
+            let ns = hot.get(&format!("{arm}_ns")).and_then(Json::as_f64);
+            assert!(ns.is_some_and(|ns| ns > 0.0), "{arm}: {ns:?}");
+            let iqr = hot.get(&format!("{arm}_ns_iqr")).and_then(Json::as_f64);
+            assert!(iqr.is_some_and(|iqr| iqr >= 0.0), "{arm}: {iqr:?}");
+        }
+        assert_eq!(keys(hot).len(), 20, "ten arms, each with its IQR");
+
+        let cells = doc.get("cells").and_then(Json::as_array).unwrap();
+        let qtable = doc.get("qtable").and_then(Json::as_array).unwrap();
+        let sections: Vec<(&Json, &[&str])> = vec![
+            (
+                doc.get("totals").unwrap(),
+                &["grid_wall_s", "ticks_per_sec"],
+            ),
+            (
+                &cells[0],
+                &["wall_s", "ticks_per_sec", "ns_per_control_step"],
+            ),
+            (&qtable[0], &["argmax_ns", "update_ns"]),
+            (&qtable[1], &["argmax_ns", "update_ns"]),
+            (doc.get("merge").unwrap(), &["eager_ns", "streaming_ns"]),
+            (
+                doc.get("batch").unwrap(),
+                &[
+                    "batched_wall_s",
+                    "sequential_wall_s",
+                    "device_days_per_sec",
+                    "sequential_device_days_per_sec",
+                ],
+            ),
+            (
+                doc.get("campaign").unwrap(),
+                &["round_wall_s", "devices_per_sec"],
+            ),
+            (
+                doc.get("overlay").unwrap(),
+                &[
+                    "warm_start_ns",
+                    "dense_clone_ns",
+                    "delta_extract_ns",
+                    "dense_delta_ns",
+                ],
+            ),
+        ];
+        for (section, figures) in sections {
+            let keys = keys(section);
+            for figure in figures {
+                let at = keys.iter().position(|k| k == figure).expect(figure);
+                assert_eq!(keys[at + 1], format!("{figure}_iqr"), "{figure}");
+                let iqr = section.get(&format!("{figure}_iqr")).and_then(Json::as_f64);
+                assert!(iqr.is_some_and(|iqr| iqr >= 0.0), "{figure}: {iqr:?}");
+            }
+            let iqrs = keys.iter().filter(|k| k.ends_with("_iqr")).count();
+            assert_eq!(iqrs, figures.len(), "no other figure is sampled: {keys:?}");
+        }
     }
 
     #[test]

@@ -70,17 +70,6 @@ impl SocConfig {
         }
     }
 
-    /// Looks a shipped platform preset up by name (see
-    /// [`Platform::preset_names`]).
-    #[must_use]
-    pub fn preset(name: &str) -> Option<Self> {
-        match name {
-            "exynos9810" => Some(SocConfig::exynos9810()),
-            "exynos9820" => Some(SocConfig::exynos9820()),
-            _ => None,
-        }
-    }
-
     /// The same device at a different ambient temperature (the
     /// thermostat of §V).
     #[must_use]
@@ -412,16 +401,9 @@ mod tests {
     }
 
     #[test]
-    fn preset_lookup_matches_constructors() {
-        assert!(SocConfig::preset("exynos9810").is_some());
-        assert_eq!(
-            SocConfig::preset("exynos9820")
-                .unwrap()
-                .platform
-                .n_domains(),
-            4
-        );
-        assert!(SocConfig::preset("tegra").is_none());
+    fn constructors_build_each_platform() {
+        assert_eq!(SocConfig::exynos9810().platform.n_domains(), 3);
+        assert_eq!(SocConfig::exynos9820().platform.n_domains(), 4);
     }
 
     #[test]

@@ -385,20 +385,6 @@ impl DenseStore {
         }
     }
 
-    /// Empty store with arena capacity pre-reserved for `rows` states —
-    /// use when the caller knows the expected working-set size.
-    #[must_use]
-    pub fn with_row_capacity(n_actions: usize, rows: usize) -> Self {
-        let mut s = <DenseStore as QStore>::with_actions(n_actions);
-        if let RowIndex::Map(map) = &mut s.index {
-            map.reserve(rows);
-        }
-        s.keys.reserve(rows);
-        s.values.reserve(rows * n_actions);
-        s.visits.reserve(rows * n_actions);
-        s
-    }
-
     /// Whether the index is the direct slot table (vs the hashed map).
     #[must_use]
     pub fn is_direct_indexed(&self) -> bool {
@@ -711,16 +697,6 @@ mod tests {
     fn direct_index_rejects_out_of_space_writes() {
         let mut s = DenseStore::with_space(3, 10);
         let _ = s.row_mut(10, 0.0);
-    }
-
-    #[test]
-    fn with_row_capacity_behaves_like_empty() {
-        let mut s = DenseStore::with_row_capacity(3, 100);
-        assert!(s.is_empty());
-        let (v, n) = s.row_mut(42, 0.0);
-        v[1] = 1.5;
-        n[1] = 1;
-        assert_eq!(s.row(42).unwrap().0[1], 1.5);
     }
 
     #[test]

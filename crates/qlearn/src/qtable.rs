@@ -105,21 +105,6 @@ impl QTable<DenseStore> {
         QTable::empty(n_actions, default_q)
     }
 
-    /// Dense table with arena capacity pre-reserved for `rows` states
-    /// (e.g. the expected visited-state count of a `StateSpace`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_actions` is zero or `default_q` is not finite.
-    #[must_use]
-    pub fn dense_with_capacity(n_actions: usize, default_q: f64, rows: usize) -> Self {
-        assert!(default_q.is_finite(), "default q must be finite");
-        QTable {
-            default_q,
-            store: DenseStore::with_row_capacity(n_actions, rows),
-        }
-    }
-
     /// Dense table for a **bounded** key space of `n_states` states
     /// (every key must stay below `n_states`, as a `StateSpace`
     /// encoding guarantees). Small spaces get the direct slot-table

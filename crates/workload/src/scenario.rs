@@ -101,14 +101,6 @@ impl Persona {
         }
     }
 
-    /// Overrides the persona's session-length statistics (normalised,
-    /// see [`SessionLengthStats::normalized`]).
-    #[must_use]
-    pub fn with_stats(mut self, stats: SessionLengthStats) -> Self {
-        self.stats = stats.normalized();
-        self
-    }
-
     /// The persona's name.
     #[must_use]
     pub fn name(&self) -> &str {

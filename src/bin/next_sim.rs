@@ -4,7 +4,8 @@
 //! next-sim run     --app <name> --governor <schedutil|intqos|next|performance|powersave|ondemand>
 //!                  [--duration <s>] [--seed <n>] [--train-budget <s>] [--table <file>]
 //! next-sim train   --app <name> [--budget <s>] [--seed <n>] [--out <file>]
-//! next-sim compare --app <name> [--duration <s>] [--seed <n>]
+//! next-sim compare --app <name> [--duration <s>] [--seed <n>] [--train-budget <s>]
+//!                  [--table <file>]
 //! next-sim sweep   [--apps <a,b,..|all>] [--governors <g,h,..>] [--seeds <n,m,..>]
 //!                  [--duration <s>] [--train-budget <s>] [--workers <n>]
 //! next-sim perf    [--quick] [--out <BENCH.json>] [--baseline <file>]
@@ -30,6 +31,7 @@ use std::process::ExitCode;
 
 use next_mpsoc::bench::{
     campaign as bench_campaign, day as bench_day, fleet as bench_fleet, json::Json, perf, report,
+    stopwatch::Stopwatch,
 };
 use next_mpsoc::governors::{self, IntQosPm, Schedutil};
 use next_mpsoc::next_core::{NextAgent, NextConfig};
@@ -49,7 +51,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
+    let flags = match parse_flags(command, &args[1..]) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -100,13 +102,10 @@ fn main() -> ExitCode {
             }
             Ok(())
         }
-        "help" | "--help" | "-h" => {
+        // `parse_flags` admits no other command.
+        _ => {
             println!("{USAGE}");
             Ok(())
-        }
-        other => {
-            eprintln!("error: unknown command '{other}'\n\n{USAGE}");
-            return ExitCode::FAILURE;
         }
     };
     match result {
@@ -126,7 +125,8 @@ USAGE:
   next-sim run     --app <name> --governor <gov> [--duration <s>] [--seed <n>]
                    [--train-budget <s>] [--table <file.qtable>]
   next-sim train   --app <name> [--budget <s>] [--seed <n>] [--out <file.qtable>]
-  next-sim compare --app <name> [--duration <s>] [--seed <n>]
+  next-sim compare --app <name> [--duration <s>] [--seed <n>] [--train-budget <s>]
+                   [--table <file.qtable>]
   next-sim sweep   [--apps <a,b,..|all>] [--governors <g,h,..>] [--seeds <n,m,..>]
                    [--duration <s>] [--train-budget <s>] [--workers <n>]
                    [--platform <name>]
@@ -159,12 +159,13 @@ the six paper apps, schedutil+intqos+next, seed 1000, paper session
 lengths, all CPU cores) and prints a deterministic report — identical
 bytes for any --workers value.
 
-perf runs a fixed measurement grid plus a Q-table backend
-microbenchmark and writes a machine-readable BENCH.json (--out,
-default stdout). With --baseline it exits non-zero when aggregate
-throughput falls below --min-ratio (default 0.5) of the baseline's
-ticks_per_sec — the CI perf gate. --quick selects the small smoke
-grid.
+perf runs a fixed measurement grid plus the batched-kernel, campaign,
+Q-table backend, merge, overlay and per-call hot-path probes (every
+timing a median over sampled rounds, with its IQR) and writes a
+machine-readable BENCH.json (--out, default stdout). With --baseline
+it exits non-zero when aggregate throughput falls below --min-ratio
+(default 0.5) of the baseline's ticks_per_sec — the CI perf gate.
+--quick selects the small smoke grid.
 
 fleet simulates federated training (§IV-C at scale): D heterogeneous
 devices (per-device SoC power/thermal bins and users) train the app
@@ -229,13 +230,98 @@ type Flags = HashMap<String, String>;
 /// forgotten value stays a hard usage error.
 const BOOLEAN_FLAGS: [&str; 2] = ["quick", "resume"];
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// The flags `command` takes, as USAGE lists them, or `None` for an
+/// unknown command.
+fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "run" => &[
+            "app",
+            "governor",
+            "duration",
+            "seed",
+            "train-budget",
+            "table",
+        ],
+        "train" => &["app", "budget", "seed", "out"],
+        "compare" => &["app", "duration", "seed", "train-budget", "table"],
+        "sweep" => &[
+            "apps",
+            "governors",
+            "seeds",
+            "duration",
+            "train-budget",
+            "workers",
+            "platform",
+        ],
+        "perf" => &[
+            "quick",
+            "out",
+            "baseline",
+            "min-ratio",
+            "workers",
+            "platform",
+        ],
+        "fleet" => &[
+            "devices",
+            "rounds",
+            "seed",
+            "app",
+            "round-budget",
+            "quick",
+            "workers",
+            "out",
+            "platform",
+        ],
+        "campaign" => &[
+            "devices",
+            "rounds",
+            "seed",
+            "checkpoint",
+            "resume",
+            "stop-after",
+            "shard-size",
+            "platform",
+            "quick",
+            "workers",
+            "out",
+        ],
+        "day" => &[
+            "persona",
+            "governors",
+            "seed",
+            "seeds",
+            "pickups",
+            "day-length",
+            "train-budget",
+            "platform",
+            "quick",
+            "workers",
+            "out",
+            "trace",
+            "report",
+        ],
+        "replay" => &["trace", "workers"],
+        "bisect" => &["a", "b"],
+        "lint" => &["format", "out", "root"],
+        "apps" | "platforms" | "personas" | "help" | "--help" | "-h" => &[],
+        _ => return None,
+    })
+}
+
+/// Parses `command`'s `--flag value` pairs, rejecting an unknown
+/// command and any flag the command does not take: a misspelt or
+/// misplaced flag is a usage error, never silently ignored.
+fn parse_flags(command: &str, args: &[String]) -> Result<Flags, String> {
+    let accepted = accepted_flags(command).ok_or_else(|| format!("unknown command '{command}'"))?;
     let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, got '{flag}'"));
         };
+        if !accepted.contains(&name) {
+            return Err(format!("{command} takes no --{name}"));
+        }
         let value = if BOOLEAN_FLAGS.contains(&name) {
             "true".to_owned()
         } else {
@@ -286,6 +372,47 @@ fn require_platform(flags: &Flags) -> Result<PlatformPreset, String> {
             )
         }),
     }
+}
+
+/// The comma-separated `--platform` list: distinct shipped preset
+/// names, or `None` when the flag is absent.
+fn parse_platforms(flags: &Flags) -> Result<Option<Vec<String>>, String> {
+    let Some(list) = flags.get("platform") else {
+        return Ok(None);
+    };
+    let platforms: Vec<String> = list
+        .split(',')
+        .map(|s| s.trim().to_owned())
+        .filter(|s| !s.is_empty())
+        .collect();
+    if platforms.is_empty() {
+        return Err("--platform needs at least one name".to_owned());
+    }
+    for (i, name) in platforms.iter().enumerate() {
+        if PlatformPreset::by_name(name).is_none() {
+            return Err(format!(
+                "unknown platform '{name}' (available: {})",
+                PlatformPreset::names().join(", ")
+            ));
+        }
+        if platforms[..i].contains(name) {
+            return Err(format!("--platform lists '{name}' twice"));
+        }
+    }
+    Ok(Some(platforms))
+}
+
+/// Writes `text` to `--out` (noting the path on stderr under
+/// `command`), or prints it to stdout when there is no `--out`.
+fn write_out(flags: &Flags, command: &str, text: &str) -> Result<(), String> {
+    match flags.get("out") {
+        Some(path) => {
+            std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("{command}: wrote {path}");
+        }
+        None => print!("{text}"),
+    }
+    Ok(())
 }
 
 fn require_app(flags: &Flags) -> Result<String, String> {
@@ -447,14 +574,10 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         seeds.len(),
         preset.name
     );
-    // qlint::allow(ND01, reason = "wall-clock progress reporting on stderr; artifacts never contain it")
-    let started = std::time::Instant::now();
+    let started = Stopwatch::start();
     let evaluator = StandardEvaluator::prepare_on(&cells, train_budget, workers, preset);
     let rows = sweep::run_cells(&cells, workers, |cell| evaluator.eval(cell));
-    eprintln!(
-        "sweep finished in {:.1} s wall clock",
-        started.elapsed().as_secs_f64()
-    );
+    eprintln!("sweep finished in {:.1} s wall clock", started.elapsed_s());
     print!("{}", sweep::report(&rows));
     Ok(())
 }
@@ -495,14 +618,7 @@ fn cmd_perf(flags: &Flags) -> Result<(), String> {
 
     let text = report.to_json().render();
     debug_assert!(Json::parse(&text).is_ok(), "BENCH.json must be valid JSON");
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, format!("{text}\n"))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("perf: wrote {path}");
-        }
-        None => println!("{text}"),
-    }
+    write_out(flags, "perf", &format!("{text}\n"))?;
 
     if let Some(baseline_path) = flags.get("baseline") {
         let baseline = std::fs::read_to_string(baseline_path)
@@ -538,26 +654,7 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
     } else {
         FleetConfig::new(&app, devices, rounds, seed)
     };
-    if let Some(list) = flags.get("platform") {
-        let platforms: Vec<String> = list
-            .split(',')
-            .map(|s| s.trim().to_owned())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if platforms.is_empty() {
-            return Err("--platform needs at least one name".to_owned());
-        }
-        for (i, name) in platforms.iter().enumerate() {
-            if PlatformPreset::by_name(name).is_none() {
-                return Err(format!(
-                    "unknown platform '{name}' (available: {})",
-                    PlatformPreset::names().join(", ")
-                ));
-            }
-            if platforms[..i].contains(name) {
-                return Err(format!("--platform lists '{name}' twice"));
-            }
-        }
+    if let Some(platforms) = parse_platforms(flags)? {
         config = config.with_platforms(platforms);
     }
     if flags.contains_key("round-budget") {
@@ -575,12 +672,11 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
         config.platforms.join("+"),
         config.round_budget_s
     );
-    // qlint::allow(ND01, reason = "wall-clock progress reporting on stderr; artifacts never contain it")
-    let started = std::time::Instant::now();
+    let started = Stopwatch::start();
     let report = fleet::run_fleet(&config, workers);
     eprintln!(
         "fleet: finished in {:.1} s wall clock; final tables {} states / {} visits",
-        started.elapsed().as_secs_f64(),
+        started.elapsed_s(),
         report.total_states(),
         report.total_visits()
     );
@@ -604,15 +700,7 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
         bench_fleet::parse_document(&text).is_ok(),
         "fleet.json must round-trip its own schema"
     );
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, format!("{text}\n"))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("fleet: wrote {path}");
-        }
-        None => println!("{text}"),
-    }
-    Ok(())
+    write_out(flags, "fleet", &format!("{text}\n"))
 }
 
 #[allow(clippy::too_many_lines)]
@@ -631,26 +719,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
     } else {
         CampaignConfig::new(devices, rounds, seed)
     };
-    if let Some(list) = flags.get("platform") {
-        let platforms: Vec<String> = list
-            .split(',')
-            .map(|s| s.trim().to_owned())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if platforms.is_empty() {
-            return Err("--platform needs at least one name".to_owned());
-        }
-        for (i, name) in platforms.iter().enumerate() {
-            if PlatformPreset::by_name(name).is_none() {
-                return Err(format!(
-                    "unknown platform '{name}' (available: {})",
-                    PlatformPreset::names().join(", ")
-                ));
-            }
-            if platforms[..i].contains(name) {
-                return Err(format!("--platform lists '{name}' twice"));
-            }
-        }
+    if let Some(platforms) = parse_platforms(flags)? {
         let refs: Vec<&str> = platforms.iter().map(String::as_str).collect();
         config = config.with_platforms(&refs);
     }
@@ -696,8 +765,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
         config.shard_size,
         if options.resume { ", resuming" } else { "" }
     );
-    // qlint::allow(ND01, reason = "wall-clock progress reporting on stderr; artifacts never contain it")
-    let started = std::time::Instant::now();
+    let started = Stopwatch::start();
     let report = match run_campaign_with(&config, workers, &options)? {
         CampaignOutcome::Paused { rounds_done } => {
             eprintln!(
@@ -710,7 +778,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
     };
     eprintln!(
         "campaign: finished in {:.1} s wall clock; {} device-days, {} merged tables",
-        started.elapsed().as_secs_f64(),
+        started.elapsed_s(),
         report.device_days(),
         report.tables.len()
     );
@@ -733,15 +801,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
         bench_fleet::parse_document(&text).is_ok(),
         "campaign.json must round-trip its own schema"
     );
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, format!("{text}\n"))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("campaign: wrote {path}");
-        }
-        None => println!("{text}"),
-    }
-    Ok(())
+    write_out(flags, "campaign", &format!("{text}\n"))
 }
 
 #[allow(clippy::too_many_lines)]
@@ -821,8 +881,7 @@ fn cmd_day(flags: &Flags) -> Result<(), String> {
         plan_cfg.pickups,
         plan_cfg.day_length_s / 3_600.0
     );
-    // qlint::allow(ND01, reason = "wall-clock progress reporting on stderr; artifacts never contain it")
-    let started = std::time::Instant::now();
+    let started = Stopwatch::start();
     // Tracing is opt-in: without --trace/--report the untraced path
     // runs and the recording hook compiles down to nothing.
     let tracing = flags.contains_key("trace") || flags.contains_key("report");
@@ -834,10 +893,7 @@ fn cmd_day(flags: &Flags) -> Result<(), String> {
         let reports = day::run_days(&plans, &governors, &preset, 1.0, train_budget, workers);
         (reports, None)
     };
-    eprintln!(
-        "day: finished in {:.1} s wall clock",
-        started.elapsed().as_secs_f64()
-    );
+    eprintln!("day: finished in {:.1} s wall clock", started.elapsed_s());
     if let Some(traces) = &traces {
         if let Some(path) = flags.get("trace") {
             // One file, one scenario: the first (plan, governor) cell.
@@ -884,15 +940,7 @@ fn cmd_day(flags: &Flags) -> Result<(), String> {
         bench_fleet::parse_document(&text).is_ok(),
         "day.json must round-trip its own schema"
     );
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, format!("{text}\n"))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("day: wrote {path}");
-        }
-        None => println!("{text}"),
-    }
-    Ok(())
+    write_out(flags, "day", &format!("{text}\n"))
 }
 
 /// Reads and decodes a binary trace file.
@@ -914,12 +962,11 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
         recorded.meta.governor,
         recorded.meta.platform
     );
-    // qlint::allow(ND01, reason = "wall-clock progress reporting on stderr; artifacts never contain it")
-    let started = std::time::Instant::now();
+    let started = Stopwatch::start();
     let (_report, replayed) = day::replay_day(&recorded.meta, workers)?;
     eprintln!(
         "replay: re-executed in {:.1} s wall clock",
-        started.elapsed().as_secs_f64()
+        started.elapsed_s()
     );
     let replayed_bytes = replayed.encode();
     if replayed_bytes == bytes {
@@ -967,13 +1014,7 @@ fn cmd_lint(flags: &Flags) -> Result<(), String> {
     };
     // The artifact (or text report) is written even when the gate
     // fails, so CI can archive the findings it is failing on.
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("lint: wrote {path}");
-        }
-        None => print!("{text}"),
-    }
+    write_out(flags, "lint", &text)?;
     if report.is_clean() {
         eprintln!(
             "lint: clean — {} file(s), {} suppression(s)",
@@ -1011,4 +1052,71 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
         next.power_saving_vs(&sched)
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn flags_a_command_does_not_take_are_usage_errors() {
+        let err = parse_flags("compare", &args("--app facebook --duration 1 --seeds 5"))
+            .expect_err("compare reads --seed, not --seeds");
+        assert!(err.contains("--seeds"), "{err}");
+        let err = parse_flags("apps", &args("--bogus 1")).expect_err("apps takes no flags");
+        assert!(err.contains("--bogus"), "{err}");
+        assert!(parse_flags("bogus", &[]).is_err());
+        let flags = parse_flags("compare", &args("--app facebook --seed 5")).unwrap();
+        assert_eq!(flags.get("seed").map(String::as_str), Some("5"));
+    }
+
+    #[test]
+    fn accepted_flags_match_usage() {
+        // USAGE's synopsis: a `next-sim <command>` line, then indented
+        // continuation lines, up to the first blank line.
+        let mut listed: Vec<(String, Vec<String>)> = Vec::new();
+        for line in USAGE.lines().skip(3).take_while(|l| !l.is_empty()) {
+            let line = line.trim_start();
+            if let Some(rest) = line.strip_prefix("next-sim ") {
+                let command = rest.split_whitespace().next().unwrap();
+                listed.push((command.to_owned(), Vec::new()));
+            }
+            let flags = &mut listed.last_mut().unwrap().1;
+            for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if let Some(flag) = word.strip_prefix("--") {
+                    flags.push(flag.to_owned());
+                }
+            }
+        }
+        assert_eq!(listed.len(), 14, "every command but help has a synopsis");
+        for (command, mut flags) in listed {
+            flags.sort();
+            flags.dedup();
+            let mut accepted = accepted_flags(&command).expect("listed command").to_vec();
+            accepted.sort_unstable();
+            assert_eq!(flags, accepted, "{command}");
+        }
+    }
+
+    #[test]
+    fn every_ci_invocation_parses() {
+        let ci = include_str!("../../.github/workflows/ci.yml");
+        let mut seen = 0;
+        for line in ci.lines() {
+            let Some((_, call)) = line.split_once("target/release/next-sim ") else {
+                continue;
+            };
+            let words = args(call);
+            let (command, rest) = words.split_first().expect("a command");
+            if let Err(e) = parse_flags(command, rest) {
+                panic!("{line}: {e}");
+            }
+            seen += 1;
+        }
+        assert!(seen >= 10, "found only {seen} next-sim lines in ci.yml");
+    }
 }
